@@ -40,12 +40,14 @@ from .families import (
     FAMILY_NAMES,
     GADGET_FAMILIES,
     CoupledState,
+    Erratum,
     FamilySpec,
     RecurrenceConfigError,
     attach_gadget,
     build_chain,
     family_order,
     family_polynomial,
+    family_polynomials,
     o_polynomial,
     o_stream,
     ortho_chain,
@@ -57,7 +59,7 @@ from .families import (
     t_polynomial,
     triangle_chain,
 )
-from .verify import Erratum, IdentityCheck, VerificationReport, verify_families
+from .verify import IdentityCheck, VerificationReport, verify_families
 
 __version__ = "0.1.0"
 
@@ -94,6 +96,7 @@ __all__ = [
     "edge_recurrence_bracket",
     "family_order",
     "family_polynomial",
+    "family_polynomials",
     "format_edge_list",
     "o_polynomial",
     "o_stream",

@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -22,8 +21,6 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_CAP = 3
 
-THREADS_ENV = "DOMCHAIN_THREADS"
-
 
 class UsageError(Exception):
     pass
@@ -35,16 +32,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}")
 
 
 def _parse_range(text: str) -> range:
@@ -75,17 +62,15 @@ def _emit(text: str, output: str | None) -> None:
 
 # -- compute -----------------------------------------------------------------
 
-def _compute_one(method, family, n, g, cap, threads):
+def _compute_one(method, g, cap):
     if method == "oracle":
-        return oracle.domination_polynomial(g, cap=cap, threads=threads)
+        return oracle.domination_polynomial(g, cap=cap)
     if method == "vertex":
         return decompose.vertex_recurrence(g, cap=cap, memo={})
     if method == "edge":
         return decompose.edge_recurrence(g, cap=cap, memo={})
     if method == "product":
         return decompose.components_product(g, cap=cap, memo={})
-    if method == "recurrence":
-        return families.family_polynomial(family, n)
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -102,7 +87,6 @@ def _record(family: str | None, n: int, p: DomPoly) -> dict:
 
 def cmd_compute(args) -> int:
     cap = _check_cap(args.cap)
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.file is not None:
         if args.family is not None:
             raise UsageError("--file and --family are mutually exclusive")
@@ -110,19 +94,19 @@ def cmd_compute(args) -> int:
             raise UsageError("--method recurrence requires a --family input")
         with open(args.file) as f:
             g = parse_edge_list(f.read())
-        jobs = [(None, g.n, g)]
+        records = [_record(None, g.n, _compute_one(args.method, g, cap))]
     else:
         if args.family is None:
             raise UsageError("one of --family or --file is required")
         if args.n is None and args.n_range is None:
             raise UsageError("one of --n or --n-range is required with --family")
         ns = [args.n] if args.n is not None else list(_parse_range(args.n_range))
-        jobs = [(args.family, n, families.build_chain(args.family, n)) for n in ns]
-
-    records = []
-    for family, n, g in jobs:
-        p = _compute_one(args.method, family, n, g, cap, threads)
-        records.append(_record(family, n, p))
+        if args.method == "recurrence":
+            polys = families.family_polynomials(args.family, ns[0], ns[-1])
+        else:
+            polys = [_compute_one(args.method, families.build_chain(args.family, n), cap)
+                     for n in ns]
+        records = [_record(args.family, n, p) for n, p in zip(ns, polys)]
 
     if args.format == "json":
         payload = records[0] if len(records) == 1 and args.n_range is None else records
@@ -208,7 +192,6 @@ def cmd_sequence(args) -> int:
 def cmd_bench(args) -> int:
     cap = _check_cap(args.cap)
     cap_val = oracle.DEFAULT_CAP if cap is None else cap
-    threads = args.threads if args.threads is not None else _default_threads()
     ns = _parse_range(args.n_range)
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -225,7 +208,7 @@ def cmd_bench(args) -> int:
             continue
         g = families.build_chain(args.family, n)
         t0 = time.perf_counter()
-        oracle.domination_polynomial(g, cap=cap_val, threads=threads)
+        oracle.domination_polynomial(g, cap=cap_val)
         orc_s = time.perf_counter() - t0
         speedup = orc_s / rec_s if rec_s > 0 else float("inf")
         w.writerow([args.family, n, order, 2 ** order,
@@ -257,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method",
                    choices=("oracle", "vertex", "edge", "product", "recurrence"),
                    default="oracle")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"oracle thread count (default: ${THREADS_ENV} or 1)")
     common(p)
     p.set_defaults(func=cmd_compute)
 
@@ -279,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time oracle vs closed recurrence (CSV)")
     p.add_argument("--family", choices=families.FAMILY_NAMES, default="T")
     p.add_argument("--n-range", metavar="A:B", default="1:8")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--output", metavar="PATH", default=None)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_bench)

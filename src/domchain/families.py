@@ -16,23 +16,39 @@ The X2/Qp/Op shapes are fixed by oracle arbitration of the published
 identities, not by the stated one-line descriptions: the two-pendant star
 reproduces the n=0 base polynomial but fails every identity that consumes
 the X(2) stream from n=1 on, while the pendant path satisfies all of them
-(and symmetrically for the primed stream).  verify.py records the evidence.
+(and symmetrically for the primed stream).  The errata in IDENTITIES record
+the evidence.
+
+Every recurrence identity of the three systems is declared once, as data, in
+IDENTITIES.  The stream evaluation here and the checks in verify.py both read
+that table; a literal-paper variant is an entry with adopted=False that
+carries its erratum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import islice
+from operator import add
+from typing import Callable
 
 from . import oracle
 from .graph import Graph
 from .poly import DomPoly
 
 CHAIN_FAMILIES = ("T", "Q", "O")
-GADGET_FAMILIES = ("Q+e", "Qtri", "Q2", "Qp", "O+e", "Otri", "O2", "Op")
+# the streams of each closed system, in evaluation order (no stream refers to
+# a later one at the same n)
+STREAMS = {
+    "T": ("T",),
+    "Q": ("Q", "Q+e", "Qtri", "Q2", "Qp"),
+    "O": ("O", "O+e", "Otri", "O2", "Op"),
+}
+GADGET_FAMILIES = STREAMS["Q"][1:] + STREAMS["O"][1:]
 FAMILY_NAMES = CHAIN_FAMILIES + GADGET_FAMILIES
 
-ATTACHMENT_KINDS = ("pendant", "triangle", "pendant_path", "two_pendants", "diamond")
-
-# adopted by oracle arbitration; see module docstring and verify.py
+# adopted by oracle arbitration; see module docstring and the errata below
 ADOPTED_ATTACHMENT = {
     "Q+e": "pendant",
     "Qtri": "triangle",
@@ -80,14 +96,14 @@ class FamilySpec:
         return family_order(self.family, self.n)
 
 
-def family_order(family: str, n: int) -> int:
-    """Vertex count of the family member."""
+def family_order(family: str, n: int, attachment: str | None = None) -> int:
+    """Vertex count of the family member; `attachment` overrides the adopted shape."""
     if family == "T":
         return 2 * n + 1
     base = 3 * n + 1
     if family in ("Q", "O"):
         return base
-    return base + _EXTRA_VERTICES[ADOPTED_ATTACHMENT[family]]
+    return base + _EXTRA_VERTICES[attachment or ADOPTED_ATTACHMENT[family]]
 
 
 # -- constructors ----------------------------------------------------------
@@ -131,23 +147,18 @@ def attach_gadget(g: Graph, v: int, kind: str) -> Graph:
     edges = list(g.edges())
     if kind == "pendant":
         edges += [(v, n)]
-        extra = 1
     elif kind == "triangle":
         edges += [(v, n), (n, n + 1), (n + 1, v)]
-        extra = 2
     elif kind == "pendant_path":
         edges += [(v, n), (n, n + 1)]
-        extra = 2
     elif kind == "two_pendants":
         edges += [(v, n), (v, n + 1)]
-        extra = 2
     elif kind == "diamond":
         # v and n+1 form the degree-3 pair of the diamond
         edges += [(v, n), (n, n + 1), (n + 1, v), (v, n + 2), (n + 1, n + 2)]
-        extra = 3
     else:
         raise ValueError(f"unknown attachment kind {kind!r}")
-    return Graph.from_edges(n + extra, edges)
+    return Graph.from_edges(n + _EXTRA_VERTICES[kind], edges)
 
 
 def terminal_vertex(family: str, n: int) -> int:
@@ -170,68 +181,257 @@ def build_chain(family: str, n: int, attachment: str | None = None) -> Graph:
     return attach_gadget(base, terminal_vertex(family[0], n), kind)
 
 
-# -- T chain: closed recurrences ---------------------------------------------
+# -- the identities, declared once --------------------------------------------
 
-_D_T1 = DomPoly((0, 3, 3, 1))
-_D_T2 = DomPoly((0, 1, 8, 10, 5, 1))
-_T_MULT_1 = DomPoly((0, 2, 1))  # x^2 + 2x
-_T_MULT_2 = DomPoly((0, 1, 1))  # x^2 + x
+@dataclass(frozen=True)
+class Erratum:
+    identity: str
+    stated: str
+    validated: str
+    evidence: str
+    literal_note: str = ""  # appended to the evidence when literal checks are reported
+
+    def to_json_dict(self) -> dict:
+        return {
+            "identity": self.identity,
+            "stated": self.stated,
+            "validated": self.validated,
+            "evidence": self.evidence,
+        }
+
+
+Ref = tuple[str, int]  # (stream, index offset from n)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """lhs_n = sum over terms of multiplier * (sum of stream_{n+offset}), for n >= start."""
+
+    lhs: str
+    terms: tuple[tuple[DomPoly, tuple[Ref, ...]], ...]
+    start: int
+    label: str                     # the check's name in the verify report
+    adopted: bool = True           # False: a literal-paper variant the oracle rejects
+    subject: str | None = None     # attachment of the left-hand graph, if not the adopted one
+    erratum: Erratum | None = None  # where the published statement differs
+
+    def rhs(self, n: int, value: Callable[[str, int], object], at: int | None = None):
+        """Right-hand side at n, with value(stream, k) supplying each referenced term.
+
+        With `at`, the multipliers are evaluated at x = at and the terms are ints.
+        """
+        total = None
+        for mult, refs in self.terms:
+            group = reduce(add, (value(s, n + off) for s, off in refs))
+            term = (mult if at is None else mult.eval_at(at)) * group
+            total = term if total is None else total + term
+        return total
+
+
+_p = DomPoly.from_text
+
+
+def _identity(lhs: str, terms, start: int, label: str, **kw) -> Identity:
+    """An Identity whose multipliers are written as polynomial text."""
+    return Identity(lhs, tuple((_p(m), tuple(refs)) for m, refs in terms), start, label, **kw)
+
+
+_Q_II = _identity("Q2", [("x", [("Q+e", 0), ("Q", 0), ("Qp", -1)])], 1,
+                  "Q pendant-pair identity (ii)")
+_O_II = _identity("O2", [("x", [("O+e", 0), ("O", 0), ("O2", -1)])], 1,
+                  "O pendant-pair identity (ii)")
+
+# per family, in verify check order
+IDENTITIES: dict[str, tuple[Identity, ...]] = {
+    "T": (
+        _identity("T", [("x^2+2x", [("T", -1)]), ("x^2+x", [("T", -2)])], 3,
+                  "T-chain order-2 polynomial recurrence"),
+    ),
+    "Q": (
+        _identity("Qtri", [("1+x", [("Q+e", 0)]), ("x", [("Qp", -1)])], 1,
+                  "Q triangle-gadget identity (i)"),
+        _Q_II,
+        _identity("Qp", [("1+x", [("Q+e", 0)]), ("-x", [("Qp", -1)])], 1,
+                  "Q primed identity (iii), adopted -x form"),
+        _identity(
+            "Qp", [("1+x", [("Q+e", 0)]), ("-x^2", [("Qp", -1)])], 1,
+            "Q primed identity (iii), proof-line -x^2 variant", adopted=False,
+            erratum=Erratum(
+                identity="Q primed identity (iii)",
+                stated="statement subtracts x*D(Q_{n-1}'); the accompanying derivation "
+                       "ends with x^2*D(Q_{n-1}') instead",
+                validated="coefficient x (the statement form); the derivation's x^2 is a typo",
+                evidence="the -x form matches the oracle for every checked n; the -x^2 "
+                         "variant first diverges at n=1",
+                literal_note=" (see the literal-variant checks above)",
+            )),
+        replace(
+            _Q_II, label="Q pendant-pair identity (ii), two-pendant star shape",
+            adopted=False, subject="two_pendants",
+            erratum=Erratum(
+                identity="Q_n(2) gadget shape",
+                stated="two extra vertices at the terminal (figure-only definition, "
+                       "base polynomial x^3+3x^2+x fits both a 2-pendant star and a "
+                       "pendant 2-path)",
+                validated="pendant path of length 2 at the terminal vertex",
+                evidence="the star shape reproduces the n=0 base but fails the "
+                         "pendant-pair identity (ii) from n=1 on; the path shape "
+                         "matches the oracle for all checked n",
+            )),
+        _identity("Q+e", [("x", [("Q", 0), ("Q", -1), ("Qp", -1)]), ("2x^2", [("Qp", -2)])], 2,
+                  "Q pendant identity (iv)"),
+        _identity("Q", [("x^3+2x^2+x", [("Q", -1)]), ("x^3+2x^2", [("Q", -2)]),
+                        ("x^3+3x^2", [("Qp", -2)]), ("2x^4+4x^3", [("Qp", -3)])], 3,
+                  "Q-chain order-3 theorem recurrence"),
+    ),
+    "O": (
+        _identity("Otri", [("1+x", [("O+e", 0)]), ("x", [("O2", -1)])], 1,
+                  "O triangle-gadget identity (i)"),
+        _O_II,
+        _identity("Op", [("1+x", [("Otri", 0)]), ("-x", [("O2", -1)])], 1,
+                  "O primed identity (iii)"),
+        replace(
+            _O_II, label="O pendant-pair identity (ii), two-pendant star shape",
+            adopted=False, subject="two_pendants",
+            erratum=Erratum(
+                identity="O_n(2) gadget shape",
+                stated="two extra vertices at the terminal (figure-only definition)",
+                validated="pendant path of length 2 at the terminal vertex",
+                evidence="as for Q_n(2): the star shape fails identities (i)-(iv) "
+                         "from n=1 on, the path shape matches the oracle throughout",
+            )),
+        _identity("O+e", [("x", [("Op", -1), ("O2", -1)]), ("x^2", [("O2", -2)])], 2,
+                  "O pendant identity (iv), adopted index-shifted form"),
+        _identity(
+            "O+e", [("x", [("Op", 0), ("O2", -1)]), ("x^2", [("O2", -2)])], 2,
+            "O pendant identity (iv), literal unshifted form", adopted=False,
+            erratum=Erratum(
+                identity="O pendant identity (iv)",
+                stated="x*D(O_n') + x*D(O_{n-1}(2)) + x^2*D(O_{n-2}(2))",
+                validated="x*D(O_{n-1}') + x*D(O_{n-1}(2)) + x^2*D(O_{n-2}(2))",
+                evidence="the stated form is degree-inconsistent (x*D(O_n') has degree "
+                         "3n+5, the left side 3n+2) and fails the oracle for all n>=2; "
+                         "shifting the primed index to n-1 matches exactly",
+            )),
+        _identity(
+            "O", [("x", [("O", -1)]), ("x^2+2x", [("O+e", -1)]), ("x^2", [("O2", -2)])], 2,
+            "O-chain theorem recurrence",
+            erratum=Erratum(
+                identity="O-chain theorem heading",
+                stated="names O_n a para-chain",
+                validated="O_n is the ortho-chain (adjacent cut vertices); Q_n is the "
+                          "para-chain",
+                evidence="naming only; no formula affected",
+            )),
+    ),
+}
+
+# stated initial conditions below each adopted identity's start n; None marks
+# a one-vertex base the oracle derives from the graph itself
+_BASES = {
+    "T": {1: _p("x^3+3x^2+3x"), 2: _p("x^5+5x^4+10x^3+8x^2+x")},
+    "Q": {0: None, 1: _p("x^4+4x^3+6x^2"), 2: _p("x^7+7x^6+21x^5+29x^4+15x^3")},
+    "Q+e": {0: None, 1: _p("x^5+5x^4+9x^3+4x^2")},
+    "Qtri": {0: _p("x^3+3x^2+3x")},
+    "Q2": {0: _p("x^3+3x^2+x")},
+    "Qp": {0: _p("x^3+3x^2+x")},
+    "O": {0: None, 1: _p("x^4+4x^3+6x^2")},
+    "O+e": {0: None, 1: _p("x^5+5x^4+9x^3+4x^2")},
+    "Otri": {0: _p("x^3+3x^2+3x")},
+    "O2": {0: _p("x^3+3x^2+x")},
+    "Op": {0: _p("x^4+4x^3+6x^2+2x")},
+}
 
 T0_COUNT_SEED = 2  # formal seed of the count sequence; T_0 is not a graph here
-T1_COUNT = 7
 
+
+# -- stream evaluation ------------------------------------------------------------
+
+def _validated(p: DomPoly, order: int, identity: str) -> DomPoly:
+    """Check the domination-polynomial invariants a stream value must satisfy."""
+    if order == 0:
+        if p != DomPoly.one():
+            raise RecurrenceConfigError(identity, f"expected constant 1, got {p.to_text()}")
+        return p
+    if p.degree != order:
+        raise RecurrenceConfigError(identity, f"degree {p.degree} != vertex count {order}")
+    if p[order] != 1:
+        raise RecurrenceConfigError(identity, f"leading coefficient {p[order]} != 1")
+    if p[0] != 0:
+        raise RecurrenceConfigError(identity, f"nonzero constant term {p[0]}")
+    if min(p.coeffs) < 0:
+        raise RecurrenceConfigError(identity, "negative coefficient")
+    return p
+
+
+def _adopted(family: str) -> dict[str, Identity]:
+    """The identity that drives each stream of the family."""
+    return {e.lhs: e for e in IDENTITIES[family] if e.adopted}
+
+
+def _stream_values(family: str, n: int):
+    """Yield {stream: validated polynomial} for k = first..n, bottom-up.
+
+    Only the last few k are kept, as deep as the identities look back.
+    """
+    rules = _adopted(family)
+    depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
+    window: dict[int, dict[str, DomPoly]] = {}
+
+    def value(stream: str, k: int) -> DomPoly:
+        return window[k][stream]
+
+    for k in range(1 if family == "T" else 0, n + 1):
+        window.pop(k - depth - 1, None)
+        window[k] = cur = {}
+        for s in STREAMS[family]:
+            rule = rules[s]
+            if k >= rule.start:
+                p = rule.rhs(k, value)
+            else:
+                p = _BASES[s][k]
+                if p is None:
+                    p = oracle.domination_polynomial(build_chain(s, k))
+            name = f"{s}-chain" if s in CHAIN_FAMILIES else f"{s} stream"
+            cur[s] = _validated(p, family_order(s, k), f"{name} n={k}")
+        yield cur
+
+
+def _last(family: str, n: int) -> dict[str, DomPoly]:
+    return deque(_stream_values(family, n), maxlen=1)[0]
+
+
+# -- T chain ----------------------------------------------------------------------
 
 def t_polynomial(n: int) -> DomPoly:
     """D(T_n,x) by the order-2 polynomial recurrence."""
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
-    if n == 1:
-        return _D_T1
-    prev, cur = _D_T1, _D_T2
-    for _ in range(3, n + 1):
-        prev, cur = cur, _T_MULT_1 * cur + _T_MULT_2 * prev
-    return cur
+    return _last("T", n)["T"]
 
 
 def t_coefficient_table(n: int) -> list[int]:
-    """Row of dominating-set counts d(T_n, k), k = 0..2n+1, by the two-variable recurrence."""
+    """Row of dominating-set counts d(T_n, k), k = 0..2n+1: the T identity read coefficient-wise."""
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
-    prev = list(_D_T1.coeffs)
-    if n == 1:
-        return prev + [0] * (4 - len(prev))
-    cur = list(_D_T2.coeffs)
-    for m in range(3, n + 1):
-        size = 2 * m + 2
-        row = [0] * size
-        for k in range(size):
-            v = 0
-            if k >= 1:
-                if k - 1 < len(cur):
-                    v += 2 * cur[k - 1]
-                if k - 1 < len(prev):
-                    v += prev[k - 1]
-            if k >= 2:
-                if k - 2 < len(cur):
-                    v += cur[k - 2]
-                if k - 2 < len(prev):
-                    v += prev[k - 2]
-            row[k] = v
-        prev, cur = cur, row
-    return cur + [0] * (2 * n + 2 - len(cur))
+    return list(_last("T", n)["T"].coeffs)
 
 
 def t_count_sequence(n_max: int) -> list[int]:
-    """t_0..t_{n_max}: total dominating-set counts via t_n = 3 t_{n-1} + 2 t_{n-2}."""
+    """t_0..t_{n_max}: total dominating-set counts, the T identity evaluated at x = 1."""
     if n_max < 0:
         raise ValueError(f"n_max >= 0 required, got {n_max}")
-    seq = [T0_COUNT_SEED, T1_COUNT]
+    rule = _adopted("T")["T"]
+    seq = [T0_COUNT_SEED, _BASES["T"][1].eval_at(1)]
     while len(seq) <= n_max:
-        seq.append(3 * seq[-1] + 2 * seq[-2])
+        seq.append(rule.rhs(len(seq), lambda _, k: seq[k], at=1))
     return seq[: n_max + 1]
 
 
-# -- Q and O chains: coupled stream recurrences --------------------------------
+# -- Q and O chains: coupled streams ------------------------------------------------
+
+_STATE_FIELD = {"": "chain", "+e": "plus_e", "tri": "triangle", "2": "double", "p": "primed"}
+
 
 @dataclass(frozen=True)
 class CoupledState:
@@ -244,165 +444,33 @@ class CoupledState:
     double: DomPoly      # D(X_n(2))
     primed: DomPoly      # D(X_n')
 
-
-_X = DomPoly.x()
-_X2 = DomPoly.monomial(1, 2)
-_ONE_PLUS_X = DomPoly((1, 1))
-
-# stated initial conditions
-_D_Q1 = DomPoly((0, 0, 6, 4, 1))
-_D_Q2 = DomPoly((0, 0, 0, 15, 29, 21, 7, 1))
-_D_Q1_PLUS_E = DomPoly((0, 0, 4, 9, 5, 1))
-_D_Q0_TRIANGLE = DomPoly((0, 3, 3, 1))
-_D_Q0_DOUBLE = DomPoly((0, 1, 3, 1))
-_D_Q0_PRIME = DomPoly((0, 1, 3, 1))
-_D_O1 = _D_Q1
-_D_O1_PLUS_E = _D_Q1_PLUS_E
-_D_O0_TRIANGLE = DomPoly((0, 3, 3, 1))
-_D_O0_DOUBLE = DomPoly((0, 1, 3, 1))
-_D_O0_PRIME = DomPoly((0, 2, 6, 4, 1))
-
-# Q theorem multipliers
-_Q_M1 = DomPoly((0, 1, 2, 1))      # x^3 + 2x^2 + x
-_Q_M2 = DomPoly((0, 0, 2, 1))      # x^3 + 2x^2
-_Q_M3 = DomPoly((0, 0, 3, 1))      # x^3 + 3x^2
-_Q_M4 = DomPoly((0, 0, 0, 4, 2))   # 2x^4 + 4x^3
-# O theorem multiplier
-_O_M1 = DomPoly((0, 2, 1))         # x^2 + 2x
+    def value(self, family: str) -> DomPoly:
+        """The polynomial of a Q/O family name, e.g. 'Q+e'."""
+        return getattr(self, _STATE_FIELD[family[1:]])
 
 
-def _validated(p: DomPoly, order: int, identity: str) -> DomPoly:
-    """Check the domination-polynomial invariants a stream value must satisfy."""
-    if order == 0:
-        expected_ok = p == DomPoly.one()
-        if not expected_ok:
-            raise RecurrenceConfigError(identity, f"expected constant 1, got {p.to_text()}")
-        return p
-    if p.degree != order:
-        raise RecurrenceConfigError(identity, f"degree {p.degree} != vertex count {order}")
-    if p[order] != 1:
-        raise RecurrenceConfigError(identity, f"leading coefficient {p[order]} != 1")
-    if p[0] != 0:
-        raise RecurrenceConfigError(identity, f"nonzero constant term {p[0]}")
-    if any(c < 0 for c in p.coeffs):
-        raise RecurrenceConfigError(identity, "negative coefficient")
-    return p
-
-
-def q_stream(n: int, lemma_iii_power: int = 1) -> list[CoupledState]:
-    """Bottom-up Q-stream states for k = 0..n.
-
-    lemma_iii_power selects the coefficient on the primed back-reference in
-    the primed-stream identity: 1 is the oracle-validated (adopted) form,
-    2 is the variant appearing in the identity's published derivation.
-    """
+def _states(family: str, n: int) -> list[CoupledState]:
     if n < 0:
         raise ValueError(f"n >= 0 required, got {n}")
-    if lemma_iii_power not in (1, 2):
-        raise ValueError("lemma_iii_power must be 1 or 2")
-    iii_coeff = _X if lemma_iii_power == 1 else _X2
-
-    # unstated stream bases, derived by oracle on the tiny base graphs
-    q0 = oracle.domination_polynomial(para_chain(0))
-    q0e = oracle.domination_polynomial(attach_gadget(para_chain(0), 0, "pendant"))
-
-    states: list[CoupledState] = []
-    chain: list[DomPoly] = []
-    plus_e: list[DomPoly] = []
-    primed: list[DomPoly] = []
-    for k in range(n + 1):
-        if k == 0:
-            ch, pe, pr = q0, q0e, _D_Q0_PRIME
-            tri, dbl = _D_Q0_TRIANGLE, _D_Q0_DOUBLE
-        else:
-            if k == 1:
-                ch, pe = _D_Q1, _D_Q1_PLUS_E
-            elif k == 2:
-                ch = _D_Q2
-                pe = _X * (ch + chain[1]) + _X * primed[1] + DomPoly.monomial(2, 2) * primed[0]
-            else:
-                ch = (
-                    _Q_M1 * chain[k - 1]
-                    + _Q_M2 * chain[k - 2]
-                    + _Q_M3 * primed[k - 2]
-                    + _Q_M4 * primed[k - 3]
-                )
-                pe = (
-                    _X * (ch + chain[k - 1])
-                    + _X * primed[k - 1]
-                    + DomPoly.monomial(2, 2) * primed[k - 2]
-                )
-            pr = _ONE_PLUS_X * pe - iii_coeff * primed[k - 1]
-            tri = _ONE_PLUS_X * pe + _X * primed[k - 1]
-            dbl = _X * (pe + ch + primed[k - 1])
-        base = 3 * k + 1
-        st = CoupledState(
-            n=k,
-            chain=_validated(ch, base, f"Q-chain n={k}"),
-            plus_e=_validated(pe, base + 1, f"Q+e stream n={k}"),
-            triangle=_validated(tri, base + 2, f"Qtri stream n={k}"),
-            double=_validated(dbl, base + 2, f"Q2 stream n={k}"),
-            primed=_validated(pr, base + 2, f"Qp stream n={k}"),
-        )
-        states.append(st)
-        chain.append(st.chain)
-        plus_e.append(st.plus_e)
-        primed.append(st.primed)
-    return states
+    return [CoupledState(k, *(v[s] for s in STREAMS[family]))
+            for k, v in enumerate(_stream_values(family, n))]
 
 
-def q_polynomial(n: int, lemma_iii_power: int = 1) -> DomPoly:
+def q_stream(n: int) -> list[CoupledState]:
+    """Bottom-up Q-stream states for k = 0..n."""
+    return _states("Q", n)
+
+
+def q_polynomial(n: int) -> DomPoly:
     """D(Q_n,x) via the coupled closed system."""
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
-    return q_stream(n, lemma_iii_power=lemma_iii_power)[n].chain
+    return q_stream(n)[n].chain
 
 
 def o_stream(n: int) -> list[CoupledState]:
-    """Bottom-up O-stream states for k = 0..n.
-
-    The pendant-stream identity is applied with the primed back-reference at
-    index n-1 (the adopted, degree-consistent form; the published index is
-    off by one -- see verify.py).
-    """
-    if n < 0:
-        raise ValueError(f"n >= 0 required, got {n}")
-    o0 = oracle.domination_polynomial(ortho_chain(0))
-    o0e = oracle.domination_polynomial(attach_gadget(ortho_chain(0), 0, "pendant"))
-
-    states: list[CoupledState] = []
-    chain: list[DomPoly] = []
-    plus_e: list[DomPoly] = []
-    double: list[DomPoly] = []
-    primed: list[DomPoly] = []
-    for k in range(n + 1):
-        if k == 0:
-            ch, pe = o0, o0e
-            tri, dbl, pr = _D_O0_TRIANGLE, _D_O0_DOUBLE, _D_O0_PRIME
-        else:
-            if k == 1:
-                ch, pe = _D_O1, _D_O1_PLUS_E
-            else:
-                ch = _X * chain[k - 1] + _O_M1 * plus_e[k - 1] + _X2 * double[k - 2]
-                pe = _X * primed[k - 1] + _X * double[k - 1] + _X2 * double[k - 2]
-            tri = _ONE_PLUS_X * pe + _X * double[k - 1]
-            dbl = _X * (pe + ch + double[k - 1])
-            pr = _ONE_PLUS_X * tri - _X * double[k - 1]
-        base = 3 * k + 1
-        st = CoupledState(
-            n=k,
-            chain=_validated(ch, base, f"O-chain n={k}"),
-            plus_e=_validated(pe, base + 1, f"O+e stream n={k}"),
-            triangle=_validated(tri, base + 2, f"Otri stream n={k}"),
-            double=_validated(dbl, base + 2, f"O2 stream n={k}"),
-            primed=_validated(pr, base + 3, f"Op stream n={k}"),
-        )
-        states.append(st)
-        chain.append(st.chain)
-        plus_e.append(st.plus_e)
-        double.append(st.double)
-        primed.append(st.primed)
-    return states
+    """Bottom-up O-stream states for k = 0..n."""
+    return _states("O", n)
 
 
 def o_polynomial(n: int) -> DomPoly:
@@ -412,25 +480,20 @@ def o_polynomial(n: int) -> DomPoly:
     return o_stream(n)[n].chain
 
 
-_STREAM_FIELD = {
-    "+e": "plus_e",
-    "tri": "triangle",
-    "2": "double",
-    "p": "primed",
-}
-
-
 def family_polynomial(family: str, n: int) -> DomPoly:
     """Recurrence-path polynomial for any family name, including gadget streams."""
-    FamilySpec(family, n)  # validates name and range
     if family == "T":
+        FamilySpec(family, n)  # validates the range
         return t_polynomial(n)
-    if family[0] == "Q":
-        states = q_stream(n)
-    else:
-        states = o_stream(n)
-    if family in ("Q", "O"):
-        if n < 1:
-            raise ValueError("chain recurrences start at n = 1")
-        return states[n].chain
-    return getattr(states[n], _STREAM_FIELD[family[1:]])
+    return family_polynomials(family, n, n)[0]
+
+
+def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
+    """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
+    FamilySpec(family, lo)  # validates name and range
+    if family in ("Q", "O") and lo < 1:
+        raise ValueError("chain recurrences start at n = 1")
+    if family == "T":
+        return [v["T"] for v in islice(_stream_values("T", hi), lo - 1, None)]
+    states = q_stream(hi) if family[0] == "Q" else o_stream(hi)
+    return [states[n].value(family) for n in range(lo, hi + 1)]

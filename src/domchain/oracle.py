@@ -8,7 +8,6 @@ Counts fit in int64 comfortably below the hard cap (C(30,15) < 2^28).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -60,7 +59,7 @@ def _high_info(closed: list[int], low: int, n: int, high: int) -> tuple[int, int
     return mask, size
 
 
-def domination_table(g: Graph, cap: int | None = None, threads: int = 1) -> list[int]:
+def domination_table(g: Graph, cap: int | None = None) -> list[int]:
     """counts[i] = number of dominating sets of size i, i = 0..n."""
     _check_cap(g.n, cap)
     n = g.n
@@ -68,39 +67,23 @@ def domination_table(g: Graph, cap: int | None = None, threads: int = 1) -> list
     low = min(n, _LOW_BITS)
     union, pop = _low_tables(closed, low)
     full = np.uint64(g.full_mask)
-
-    def scan(high_range: range) -> list[int]:
-        counts = [0] * (n + 1)
-        for high in high_range:
-            hmask, hsize = _high_info(closed, low, n, high)
-            sizes = pop[(union | np.uint64(hmask)) == full]
-            if sizes.size:
-                for i, k in enumerate(np.bincount(sizes)):
-                    if k:
-                        counts[i + hsize] += int(k)
-        return counts
-
-    n_high = 1 << (n - low)
-    if threads <= 1 or n_high < 2:
-        return scan(range(n_high))
-    # contiguous chunks, summed in chunk order: deterministic by construction
-    bounds = [n_high * i // threads for i in range(threads + 1)]
-    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        partials = list(pool.map(scan, chunks))
-    total = [0] * (n + 1)
-    for part in partials:
-        for i, c in enumerate(part):
-            total[i] += c
-    return total
+    counts = [0] * (n + 1)
+    for high in range(1 << (n - low)):
+        hmask, hsize = _high_info(closed, low, n, high)
+        sizes = pop[(union | np.uint64(hmask)) == full]
+        if sizes.size:
+            for i, k in enumerate(np.bincount(sizes)):
+                if k:
+                    counts[i + hsize] += int(k)
+    return counts
 
 
-def domination_polynomial(g: Graph, cap: int | None = None, threads: int = 1) -> DomPoly:
+def domination_polynomial(g: Graph, cap: int | None = None) -> DomPoly:
     """D(G,x) by exhaustive enumeration; D = 1 for the 0-vertex graph."""
-    return DomPoly(domination_table(g, cap=cap, threads=threads))
+    return DomPoly(domination_table(g, cap=cap))
 
 
-def count_dominating_sets(g: Graph, cap: int | None = None, threads: int = 1) -> int:
+def count_dominating_sets(g: Graph, cap: int | None = None) -> int:
     """D(G,1) as a pure count (no size binning)."""
     _check_cap(g.n, cap)
     n = g.n
@@ -108,21 +91,11 @@ def count_dominating_sets(g: Graph, cap: int | None = None, threads: int = 1) ->
     low = min(n, _LOW_BITS)
     union, _ = _low_tables(closed, low)
     full = np.uint64(g.full_mask)
-
-    def scan(high_range: range) -> int:
-        total = 0
-        for high in high_range:
-            hmask, _ = _high_info(closed, low, n, high)
-            total += int(np.count_nonzero((union | np.uint64(hmask)) == full))
-        return total
-
-    n_high = 1 << (n - low)
-    if threads <= 1 or n_high < 2:
-        return scan(range(n_high))
-    bounds = [n_high * i // threads for i in range(threads + 1)]
-    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return sum(pool.map(scan, chunks))
+    total = 0
+    for high in range(1 << (n - low)):
+        hmask, _ = _high_info(closed, low, n, high)
+        total += int(np.count_nonzero((union | np.uint64(hmask)) == full))
+    return total
 
 
 def domination_number(g: Graph, cap: int | None = None) -> int:

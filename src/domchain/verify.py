@@ -1,22 +1,20 @@
 """Cross-checks every published chain identity against the enumeration oracle.
 
-Each check builds the actual graphs on both sides of an identity, evaluates
-the right-hand side from oracle polynomials of the ingredient graphs, and
-compares coefficient-exactly with the oracle polynomial of the subject graph.
-Checks marked adopted=False exercise variants of the published system that
-the oracle rejects; their mismatches are report content, not failures, and
-feed the errata table.
+Each check takes one entry of families.IDENTITIES, builds the actual graphs
+on both sides, evaluates the right-hand side from oracle polynomials of the
+ingredient graphs, and compares coefficient-exactly with the oracle
+polynomial of the subject graph.  The closed streams themselves are then
+compared with the oracle.  Checks marked adopted=False exercise variants of
+the published system that the oracle rejects; their mismatches are report
+content, not failures, and their entries carry the errata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import families, oracle
+from .families import Erratum
 from .poly import DomPoly
-
-_X = DomPoly.x()
-_X2 = DomPoly.monomial(1, 2)
-_ONE_PLUS_X = DomPoly((1, 1))
 
 
 @dataclass(frozen=True)
@@ -54,22 +52,6 @@ class IdentityCheck:
         if not self.match:
             d["first_mismatch"] = self.first_mismatch
         return d
-
-
-@dataclass(frozen=True)
-class Erratum:
-    identity: str
-    stated: str
-    validated: str
-    evidence: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "stated": self.stated,
-            "validated": self.validated,
-            "evidence": self.evidence,
-        }
 
 
 @dataclass
@@ -129,12 +111,7 @@ class _OracleCache:
         self._polys: dict[tuple, DomPoly] = {}
 
     def fits(self, family: str, n: int, attachment: str | None = None) -> bool:
-        if attachment is None:
-            return families.family_order(family, n) <= self.cap
-        base = 2 * n + 1 if family == "T" else 3 * n + 1
-        extra = {"pendant": 1, "triangle": 2, "pendant_path": 2,
-                 "two_pendants": 2, "diamond": 3}[attachment]
-        return base + extra <= self.cap
+        return families.family_order(family, n, attachment) <= self.cap
 
     def poly(self, family: str, n: int, attachment: str | None = None) -> DomPoly:
         key = (family, n, attachment)
@@ -144,10 +121,6 @@ class _OracleCache:
         return self._polys[key]
 
 
-def _const(value: int) -> DomPoly:
-    return DomPoly((value,))
-
-
 def verify_families(
     max_n: int = 6,
     family_subset: tuple[str, ...] | None = None,
@@ -155,187 +128,51 @@ def verify_families(
     cap: int | None = None,
 ) -> VerificationReport:
     """Check every chain identity against the oracle for all n within the cap."""
-    fams = tuple(family_subset) if family_subset else ("T", "Q", "O")
+    fams = tuple(family_subset) if family_subset else families.CHAIN_FAMILIES
     for f in fams:
-        if f not in ("T", "Q", "O"):
+        if f not in families.CHAIN_FAMILIES:
             raise ValueError(f"unknown family {f!r}; expected T, Q, or O")
-    cap = oracle.DEFAULT_CAP if cap is None else cap
-    c = _OracleCache(cap)
+    c = _OracleCache(oracle.DEFAULT_CAP if cap is None else cap)
     report = VerificationReport(max_n=max_n, families=fams)
-    add = report.checks.append
-
-    if "T" in fams:
-        _verify_t(max_n, c, add)
-    if "Q" in fams:
-        _verify_q(max_n, c, add, include_literal)
-    if "O" in fams:
-        _verify_o(max_n, c, add, include_literal)
-    report.errata.extend(_errata(fams, include_literal))
+    for fam in families.CHAIN_FAMILIES:
+        if fam not in fams:
+            continue
+        table = families.IDENTITIES[fam]
+        top = 0  # the largest n whose graphs all fit the cap
+        while top < max_n and all(c.fits(e.lhs, top + 1, e.subject) for e in table):
+            top += 1
+        for n in range(1, top + 1):
+            for e in table:
+                if n >= e.start and (e.adopted or include_literal):
+                    report.checks.append(IdentityCheck(
+                        fam, n, e.label, e.rhs(n, c.poly), c.poly(e.lhs, n, e.subject), e.adopted,
+                    ))
+        report.checks.extend(_closed_checks(fam, top, c))
+        # listed by identity name within each family
+        for err in sorted((e.erratum for e in table if e.erratum), key=lambda err: err.identity):
+            report.errata.append(
+                replace(err, evidence=err.evidence + err.literal_note) if include_literal else err
+            )
     return report
 
 
-def _verify_t(max_n, c, add):
-    m1 = DomPoly((0, 2, 1))
-    m2 = DomPoly((0, 1, 1))
-    for n in range(3, max_n + 1):
-        if not c.fits("T", n):
-            break
-        rhs = m1 * c.poly("T", n - 1) + m2 * c.poly("T", n - 2)
-        add(IdentityCheck("T", n, "T-chain order-2 polynomial recurrence", rhs, c.poly("T", n)))
-    for n in range(1, max_n + 1):
-        if not c.fits("T", n):
-            break
-        row = DomPoly(families.t_coefficient_table(n))
-        add(IdentityCheck("T", n, "d(T_n,k) coefficient-table recurrence", row, c.poly("T", n)))
-        g = families.build_chain("T", n)
-        t_n = families.t_count_sequence(n)[n]
-        add(IdentityCheck(
-            "T", n, "t_n = 3t_{n-1} + 2t_{n-2} total-count recurrence",
-            _const(t_n), _const(oracle.count_dominating_sets(g, cap=c.cap)),
-        ))
+def _const(value: int) -> DomPoly:
+    return DomPoly((value,))
 
 
-def _verify_q(max_n, c, add, include_literal):
-    th1 = DomPoly((0, 1, 2, 1))
-    th2 = DomPoly((0, 0, 2, 1))
-    th3 = DomPoly((0, 0, 3, 1))
-    th4 = DomPoly((0, 0, 0, 4, 2))
-    for n in range(1, max_n + 1):
-        if not c.fits("Qp", n):
-            break
-        pe = c.poly("Q+e", n)
-        pr_prev = c.poly("Qp", n - 1)
-        add(IdentityCheck("Q", n, "Q triangle-gadget identity (i)",
-                          _ONE_PLUS_X * pe + _X * pr_prev, c.poly("Qtri", n)))
-        add(IdentityCheck("Q", n, "Q pendant-pair identity (ii)",
-                          _X * (pe + c.poly("Q", n) + pr_prev), c.poly("Q2", n)))
-        add(IdentityCheck("Q", n, "Q primed identity (iii), adopted -x form",
-                          _ONE_PLUS_X * pe - _X * pr_prev, c.poly("Qp", n)))
-        if include_literal:
-            add(IdentityCheck("Q", n, "Q primed identity (iii), proof-line -x^2 variant",
-                              _ONE_PLUS_X * pe - _X2 * pr_prev, c.poly("Qp", n),
-                              adopted=False))
-            add(IdentityCheck("Q", n, "Q pendant-pair identity (ii), two-pendant star shape",
-                              _X * (pe + c.poly("Q", n) + pr_prev),
-                              c.poly("Q2", n, attachment="two_pendants"),
-                              adopted=False))
-        if n >= 2:
-            add(IdentityCheck(
-                "Q", n, "Q pendant identity (iv)",
-                _X * (c.poly("Q", n) + c.poly("Q", n - 1))
-                + _X * pr_prev + DomPoly.monomial(2, 2) * c.poly("Qp", n - 2),
-                pe,
-            ))
-        if n >= 3:
-            rhs = (th1 * c.poly("Q", n - 1) + th2 * c.poly("Q", n - 2)
-                   + th3 * c.poly("Qp", n - 2) + th4 * c.poly("Qp", n - 3))
-            add(IdentityCheck("Q", n, "Q-chain order-3 theorem recurrence", rhs, c.poly("Q", n)))
-    # closed system end-to-end
-    top = max_n
-    while top >= 0 and not c.fits("Qp", top):
-        top -= 1
-    if top >= 0:
-        states = families.q_stream(top)
+def _closed_checks(fam: str, top: int, c: _OracleCache):
+    """The recurrence-built streams themselves against the oracle, n = 1..top."""
+    if fam == "T":
+        counts = families.t_count_sequence(top)
         for n in range(1, top + 1):
-            st = states[n]
-            for fam, val in (("Q", st.chain), ("Q+e", st.plus_e), ("Qtri", st.triangle),
-                             ("Q2", st.double), ("Qp", st.primed)):
-                add(IdentityCheck("Q", n, f"closed {fam} stream vs oracle", val, c.poly(fam, n)))
-
-
-def _verify_o(max_n, c, add, include_literal):
-    m_pe = DomPoly((0, 2, 1))
-    for n in range(1, max_n + 1):
-        if not c.fits("Op", n):
-            break
-        pe = c.poly("O+e", n)
-        dbl_prev = c.poly("O2", n - 1)
-        tri = c.poly("Otri", n)
-        add(IdentityCheck("O", n, "O triangle-gadget identity (i)",
-                          _ONE_PLUS_X * pe + _X * dbl_prev, tri))
-        add(IdentityCheck("O", n, "O pendant-pair identity (ii)",
-                          _X * (pe + c.poly("O", n) + dbl_prev), c.poly("O2", n)))
-        add(IdentityCheck("O", n, "O primed identity (iii)",
-                          _ONE_PLUS_X * tri - _X * dbl_prev, c.poly("Op", n)))
-        if include_literal:
-            add(IdentityCheck("O", n, "O pendant-pair identity (ii), two-pendant star shape",
-                              _X * (pe + c.poly("O", n) + dbl_prev),
-                              c.poly("O2", n, attachment="two_pendants"),
-                              adopted=False))
-        if n >= 2:
-            add(IdentityCheck(
-                "O", n, "O pendant identity (iv), adopted index-shifted form",
-                _X * c.poly("Op", n - 1) + _X * dbl_prev + _X2 * c.poly("O2", n - 2),
-                pe,
-            ))
-            if include_literal:
-                add(IdentityCheck(
-                    "O", n, "O pendant identity (iv), literal unshifted form",
-                    _X * c.poly("Op", n) + _X * dbl_prev + _X2 * c.poly("O2", n - 2),
-                    pe,
-                    adopted=False,
-                ))
-            add(IdentityCheck(
-                "O", n, "O-chain theorem recurrence",
-                _X * c.poly("O", n - 1) + m_pe * c.poly("O+e", n - 1)
-                + _X2 * c.poly("O2", n - 2),
-                c.poly("O", n),
-            ))
-    top = max_n
-    while top >= 0 and not c.fits("Op", top):
-        top -= 1
-    if top >= 0:
-        states = families.o_stream(top)
-        for n in range(1, top + 1):
-            st = states[n]
-            for fam, val in (("O", st.chain), ("O+e", st.plus_e), ("Otri", st.triangle),
-                             ("O2", st.double), ("Op", st.primed)):
-                add(IdentityCheck("O", n, f"closed {fam} stream vs oracle", val, c.poly(fam, n)))
-
-
-def _errata(fams: tuple[str, ...], include_literal: bool) -> list[Erratum]:
-    out = []
-    if "Q" in fams:
-        out.append(Erratum(
-            identity="Q primed identity (iii)",
-            stated="statement subtracts x*D(Q_{n-1}'); the accompanying derivation "
-                   "ends with x^2*D(Q_{n-1}') instead",
-            validated="coefficient x (the statement form); the derivation's x^2 is a typo",
-            evidence="the -x form matches the oracle for every checked n; the -x^2 "
-                     "variant first diverges at n=1"
-                     + (" (see the literal-variant checks above)" if include_literal else ""),
-        ))
-        out.append(Erratum(
-            identity="Q_n(2) gadget shape",
-            stated="two extra vertices at the terminal (figure-only definition, "
-                   "base polynomial x^3+3x^2+x fits both a 2-pendant star and a "
-                   "pendant 2-path)",
-            validated="pendant path of length 2 at the terminal vertex",
-            evidence="the star shape reproduces the n=0 base but fails the "
-                     "pendant-pair identity (ii) from n=1 on; the path shape "
-                     "matches the oracle for all checked n",
-        ))
-    if "O" in fams:
-        out.append(Erratum(
-            identity="O pendant identity (iv)",
-            stated="x*D(O_n') + x*D(O_{n-1}(2)) + x^2*D(O_{n-2}(2))",
-            validated="x*D(O_{n-1}') + x*D(O_{n-1}(2)) + x^2*D(O_{n-2}(2))",
-            evidence="the stated form is degree-inconsistent (x*D(O_n') has degree "
-                     "3n+5, the left side 3n+2) and fails the oracle for all n>=2; "
-                     "shifting the primed index to n-1 matches exactly",
-        ))
-        out.append(Erratum(
-            identity="O-chain theorem heading",
-            stated="names O_n a para-chain",
-            validated="O_n is the ortho-chain (adjacent cut vertices); Q_n is the "
-                      "para-chain",
-            evidence="naming only; no formula affected",
-        ))
-        out.append(Erratum(
-            identity="O_n(2) gadget shape",
-            stated="two extra vertices at the terminal (figure-only definition)",
-            validated="pendant path of length 2 at the terminal vertex",
-            evidence="as for Q_n(2): the star shape fails identities (i)-(iv) "
-                     "from n=1 on, the path shape matches the oracle throughout",
-        ))
-    return out
+            want = c.poly("T", n)
+            row = DomPoly(families.t_coefficient_table(n))
+            yield IdentityCheck("T", n, "d(T_n,k) coefficient-table recurrence", row, want)
+            yield IdentityCheck("T", n, "t_n = 3t_{n-1} + 2t_{n-2} total-count recurrence",
+                                _const(counts[n]), _const(want.eval_at(1)))
+        return
+    states = families.q_stream(top) if fam == "Q" else families.o_stream(top)
+    for n in range(1, top + 1):
+        for s in families.STREAMS[fam]:
+            yield IdentityCheck(fam, n, f"closed {s} stream vs oracle",
+                                states[n].value(s), c.poly(s, n))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from domchain import cli
+from domchain.families import FAMILY_NAMES
 
 
 def run(capsys, *argv):
@@ -108,18 +109,25 @@ class TestCompute:
         assert code == 0 and out == ""
         assert dest.read_text() == "x^5+5x^4+10x^3+8x^2+x\n"
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        code, out, _ = run(capsys, "compute", "--family", "T", "--n", "8")
+    @pytest.mark.parametrize("fam", FAMILY_NAMES)
+    def test_recurrence_range_equals_single_n(self, capsys, fam):
+        lo = 1 if fam in ("T", "Q", "O") else 0
+        code, out, _ = run(capsys, "compute", "--family", fam, "--n-range", f"{lo}:{lo + 4}",
+                           "--method", "recurrence", "--format", "json")
         assert code == 0
-        base, base_out, _ = run(capsys, "compute", "--family", "T", "--n", "8",
-                                "--threads", "1")
-        assert out == base_out
+        singles = []
+        for n in range(lo, lo + 5):
+            code, one, _ = run(capsys, "compute", "--family", fam, "--n", str(n),
+                               "--method", "recurrence", "--format", "json")
+            assert code == 0
+            singles.append(json.loads(one))
+        assert json.loads(out) == singles
 
-    def test_threads_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "many")
-        code, _, err = run(capsys, "compute", "--family", "T", "--n", "2")
-        assert code == 1 and cli.THREADS_ENV in err
+    def test_recurrence_range_below_chain_start(self, capsys):
+        code, out, err = run(capsys, "compute", "--family", "Q", "--n-range", "0:3",
+                             "--method", "recurrence")
+        assert code == 1 and out == ""
+        assert "start at n = 1" in err
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ import pytest
 from domchain import families, oracle
 from domchain.families import (
     FAMILY_NAMES,
+    IDENTITIES,
     FamilySpec,
     RecurrenceConfigError,
     build_chain,
@@ -132,9 +133,25 @@ class TestSquareChains:
             assert family_polynomial(fam, n) == want
 
     def test_literal_variant_diverges(self):
-        want = oracle.domination_polynomial(build_chain("Q", 3))
-        assert q_polynomial(3, lemma_iii_power=1) == want
-        assert q_polynomial(3, lemma_iii_power=2) != want
+        adopted, literal = [e for e in IDENTITIES["Q"] if e.lhs == "Qp"]
+        assert adopted.adopted and not literal.adopted
+        assert literal.erratum.identity == "Q primed identity (iii)"
+
+        def poly(stream, k):
+            return oracle.domination_polynomial(build_chain(stream, k))
+
+        states = q_stream(3)
+        for n in range(1, 4):
+            assert adopted.rhs(n, poly) == poly("Qp", n)
+            assert literal.rhs(n, poly) != poly("Qp", n)
+            # the streams are driven by the adopted -x form only
+            assert literal.rhs(n, lambda s, k: states[k].value(s)) != states[n].primed
+
+    @pytest.mark.parametrize("fam", ("T", "Q", "O"))
+    def test_each_stream_has_one_adopted_identity(self, fam):
+        adopted = [e.lhs for e in IDENTITIES[fam] if e.adopted]
+        assert sorted(adopted) == sorted(families.STREAMS[fam])
+        assert all(e.subject is None for e in IDENTITIES[fam] if e.adopted)
 
     def test_stream_states_are_indexed(self):
         states = q_stream(3)
@@ -148,7 +165,9 @@ class TestSquareChains:
         with pytest.raises(ValueError):
             o_polynomial(0)
         with pytest.raises(ValueError):
-            q_stream(2, lemma_iii_power=3)
+            q_stream(-1)
+        with pytest.raises(ValueError):
+            o_stream(-1)
 
 
 class TestStreamValidation:

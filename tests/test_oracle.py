@@ -81,15 +81,6 @@ class TestCounting:
         assert oracle.domination_number(Graph.from_edges(0, [])) == 0
 
 
-class TestThreads:
-    def test_thread_count_does_not_change_results(self, rng):
-        g = random_connected_graph(rng, 20)
-        base = oracle.domination_table(g, threads=1)
-        for t in (2, 3, 8):
-            assert oracle.domination_table(g, threads=t) == base
-        assert oracle.count_dominating_sets(g, threads=4) == sum(base)
-
-
 class TestRestricted:
     def _restricted_brute(self, g, u):
         forbidden = set(g.neighbors(u)) | {u}
