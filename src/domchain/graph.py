@@ -211,7 +211,11 @@ def cycle_graph(n: int) -> Graph:
 # -- edge-list text format -------------------------------------------------
 #
 # First meaningful line: "n m".  Then m lines "u v" with 0-based vertex ids.
-# Blank lines and lines starting with '#' are ignored.
+# Blank lines and lines starting with '#' are ignored.  A header n above
+# MAX_EDGE_LIST_VERTICES is rejected before anything is allocated for it.
+
+MAX_EDGE_LIST_VERTICES = 10_000
+
 
 def parse_edge_list(text: str) -> Graph:
     header = None
@@ -231,6 +235,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(line_no, f"non-integer header field in {line!r}")
             if header[0] < 0 or header[1] < 0:
                 raise EdgeListParseError(line_no, "negative count in header")
+            if header[0] > MAX_EDGE_LIST_VERTICES:
+                raise EdgeListParseError(
+                    line_no, f"header declares {header[0]} vertices, limit is {MAX_EDGE_LIST_VERTICES}")
             continue
         if len(fields) != 2:
             raise EdgeListParseError(line_no, f"expected edge 'u v', got {line!r}")

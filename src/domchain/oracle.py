@@ -1,14 +1,25 @@
 """Brute-force ground truth: exact dominating-set counts by subset enumeration.
 
-A subset S dominates iff the OR of its closed-neighborhood masks covers all
-vertices.  The scan splits each subset mask into low and high halves: the
-unions of all low-half subsets are tabulated once (vectorized with numpy),
-then each high-half assignment is checked against the table in one shot.
-Counts fit in int64 comfortably below the hard cap (C(30,15) < 2^28).
+Every entry point runs one kernel, `_scan(closed, target)`: it counts, by
+size, the subsets of the candidate closed-neighbourhood masks whose union
+covers the target mask.  `domination_table` passes every vertex,
+`restricted_polynomial` the allowed vertices of G-u; `domination_polynomial`,
+`count_dominating_sets` (the sum of the table) and `domination_number` (its
+first nonzero index) all read the table.
+
+The kernel splits the candidates into a low half of at most `_LOW_BITS` and
+a high half.  The unions of all low subsets are tabulated once with numpy,
+laid out by popcount.  The high assignments are grouped by their union mask
+and each distinct mask is checked against the low table in one vectorized
+pass; `np.add.reduceat` over the popcount segments yields the size
+histogram, which is convolved with the group's high-size counts.  A group
+that already covers the target needs no pass: its histogram is the binomial
+row.  Counts stay below 2^30, so int64 is exact.
 """
 from __future__ import annotations
 
-from itertools import combinations
+import functools
+import math
 
 import numpy as np
 
@@ -18,7 +29,7 @@ from .poly import DomPoly
 DEFAULT_CAP = 24
 HARD_CAP = 30
 
-_LOW_BITS = 18  # per-chunk table size: 2^18 entries
+_LOW_BITS = 18  # low table size: 2^18 entries
 
 
 class EnumerationCapError(RuntimeError):
@@ -38,44 +49,59 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise EnumerationCapError(n, cap)
 
 
-def _low_tables(closed: list[int], low: int) -> tuple[np.ndarray, np.ndarray]:
-    """Union-of-closed-masks and popcount for every subset of the low vertices."""
-    union = np.zeros(1 << low, dtype=np.uint64)
-    pop = np.zeros(1 << low, dtype=np.int64)
-    for v in range(low):
-        half = 1 << v
-        union[half : 2 * half] = union[:half] | np.uint64(closed[v])
-        pop[half : 2 * half] = pop[:half] + 1
-    return union, pop
+@functools.cache  # built on first use per width, never at import
+def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subsets of `bits` items sorted by size, each size's first index, and C(bits, k)."""
+    pop = np.zeros(1 << bits, dtype=np.int8)
+    for v in range(bits):
+        np.add(pop[: 1 << v], 1, out=pop[1 << v : 2 << v])
+    row = np.array([math.comb(bits, k) for k in range(bits + 1)], dtype=np.int64)
+    return np.argsort(pop, kind="stable"), np.cumsum(row) - row, row
 
 
-def _high_info(closed: list[int], low: int, n: int, high: int) -> tuple[int, int]:
-    mask = 0
-    size = 0
-    for v in range(low, n):
-        if high >> (v - low) & 1:
-            mask |= closed[v]
-            size += 1
-    return mask, size
+def _scan(closed: list[int], target: int) -> np.ndarray:
+    """counts[k] = number of k-subsets of the candidates whose closed masks cover target."""
+    low, high, reach = [m & target for m in closed], [], 0
+    while len(low) > _LOW_BITS:  # a compact high half has few distinct unions
+        m = min(low, key=lambda m: ((reach | m).bit_count(), -m.bit_count()))
+        low.remove(m)
+        high.append(m)
+        reach |= m
+    perm, starts, row = _popcount_order(len(low))
+    dtype = np.uint32 if target >> 32 == 0 else np.uint64 if target >> 64 == 0 else object
+    union = np.zeros(1 << len(low), dtype=dtype)
+    for v, m in enumerate(low):
+        np.bitwise_or(union[: 1 << v], m, out=union[1 << v : 2 << v])
+    low_all = int(union[-1])
+    union = union[perm]
+    groups: dict[int, list[int]] = {0: [1]}  # high union mask -> assignments by size
+    for m in high:
+        grown: dict[int, list[int]] = {}
+        for mask, sizes in groups.items():
+            for key, by_size in ((mask, sizes + [0]), (mask | m, [0] + sizes)):
+                acc = grown.get(key)
+                grown[key] = by_size if acc is None else [a + b for a, b in zip(acc, by_size)]
+        groups = grown
+    counts = np.zeros(len(closed) + 1, dtype=np.int64)
+    buf = np.empty_like(union)
+    hit = np.empty(union.shape, dtype=np.uint8)
+    for mask, sizes in groups.items():
+        if mask == target:
+            hist = row
+        elif mask | low_all == target:
+            np.bitwise_or(union, mask, out=buf)
+            np.equal(buf, target, out=hit)
+            hist = np.add.reduceat(hit, starts, dtype=np.int32)
+        else:
+            continue
+        counts += np.convolve(hist, sizes)
+    return counts
 
 
 def domination_table(g: Graph, cap: int | None = None) -> list[int]:
     """counts[i] = number of dominating sets of size i, i = 0..n."""
     _check_cap(g.n, cap)
-    n = g.n
-    closed = [g.closed(v) for v in range(n)]
-    low = min(n, _LOW_BITS)
-    union, pop = _low_tables(closed, low)
-    full = np.uint64(g.full_mask)
-    counts = [0] * (n + 1)
-    for high in range(1 << (n - low)):
-        hmask, hsize = _high_info(closed, low, n, high)
-        sizes = pop[(union | np.uint64(hmask)) == full]
-        if sizes.size:
-            for i, k in enumerate(np.bincount(sizes)):
-                if k:
-                    counts[i + hsize] += int(k)
-    return counts
+    return _scan([g.closed(v) for v in range(g.n)], g.full_mask).tolist()
 
 
 def domination_polynomial(g: Graph, cap: int | None = None) -> DomPoly:
@@ -84,60 +110,24 @@ def domination_polynomial(g: Graph, cap: int | None = None) -> DomPoly:
 
 
 def count_dominating_sets(g: Graph, cap: int | None = None) -> int:
-    """D(G,1) as a pure count (no size binning)."""
-    _check_cap(g.n, cap)
-    n = g.n
-    closed = [g.closed(v) for v in range(n)]
-    low = min(n, _LOW_BITS)
-    union, _ = _low_tables(closed, low)
-    full = np.uint64(g.full_mask)
-    total = 0
-    for high in range(1 << (n - low)):
-        hmask, _ = _high_info(closed, low, n, high)
-        total += int(np.count_nonzero((union | np.uint64(hmask)) == full))
-    return total
+    """D(G,1), the number of dominating sets."""
+    return sum(domination_table(g, cap=cap))
 
 
 def domination_number(g: Graph, cap: int | None = None) -> int:
-    """Smallest dominating-set size, by increasing-cardinality search."""
-    _check_cap(g.n, cap)
-    full = g.full_mask
-    if full == 0:
-        return 0
-    closed = [g.closed(v) for v in range(g.n)]
-    for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            m = 0
-            for v in combo:
-                m |= closed[v]
-            if m == full:
-                return size
-    raise AssertionError("full vertex set always dominates")  # pragma: no cover
+    """Smallest dominating-set size: the first nonzero entry of the table."""
+    return next(k for k, c in enumerate(domination_table(g, cap=cap)) if c)
 
 
 def restricted_polynomial(g: Graph, u: int, cap: int | None = None) -> DomPoly:
     """p_u(G,x): dominating sets of G-u that avoid every vertex of N_G(u).
 
-    Only subsets of V(G-u) \\ N(u) are enumerated.
+    Only subsets of V(G-u) \\ N(u) are enumerated, and only their number is
+    held to the cap, so G itself may exceed it.
     """
     g._check_vertex(u)
-    _check_cap(g.n, cap)
-    forbidden = set(g.neighbors(u))
-    h = g.delete_vertices([u])
-    # relabel: old w maps to w - 1 if w > u
-    allowed = [w - (w > u) for w in range(g.n) if w != u and w not in forbidden]
-    closed = [h.closed(v) for v in allowed]
-    full = h.full_mask
-    counts = [0] * (h.n + 1)
-    for mask in range(1 << len(allowed)):
-        m = 0
-        size = 0
-        rest = mask
-        while rest:
-            b = rest & -rest
-            m |= closed[b.bit_length() - 1]
-            size += 1
-            rest ^= b
-        if m == full:
-            counts[size] += 1
-    return DomPoly(counts)
+    target = g.full_mask & ~(1 << u)
+    around = g.closed(u)
+    allowed = [w for w in range(g.n) if not around >> w & 1]
+    _check_cap(len(allowed), cap)
+    return DomPoly(_scan([g.closed(w) for w in allowed], target).tolist())

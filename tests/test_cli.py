@@ -5,7 +5,7 @@ import json
 import pytest
 
 from domchain import cli
-from domchain.families import FAMILY_NAMES
+from domchain.families import FAMILY_NAMES, t_polynomial
 
 
 def run(capsys, *argv):
@@ -68,6 +68,20 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--file", str(p))
         assert code == 1
         assert "line 2" in err
+
+    def test_file_huge_header_is_input_error(self, capsys, tmp_path):
+        p = tmp_path / "huge.edges"
+        p.write_text("1000000000 0\n")
+        code, out, err = run(capsys, "compute", "--file", str(p))
+        assert code == 1 and out == "" and "line 1" in err
+
+    def test_vertex_method_past_cap(self, capsys):
+        # T_6 has 13 vertices; every set the recurrence enumerates fits cap 12
+        code, out, _ = run(capsys, "compute", "--family", "T", "--n", "6",
+                           "--method", "vertex", "--cap", "12")
+        assert code == 0 and out == t_polynomial(6).to_text() + "\n"
+        code, _, err = run(capsys, "compute", "--family", "T", "--n", "6", "--cap", "12")
+        assert code == 3 and "cap" in err
 
     def test_recurrence_needs_family(self, capsys, tmp_path):
         p = tmp_path / "g.edges"

@@ -1,6 +1,7 @@
 import pytest
 
 from domchain import decompose, oracle
+from domchain.families import t_polynomial, triangle_chain
 from domchain.graph import Graph, cycle_graph, disjoint_union, path_graph
 from domchain.poly import DomPoly
 from conftest import random_connected_graph, random_disconnected_graph
@@ -93,3 +94,18 @@ class TestMemo:
         second = decompose.vertex_recurrence(g, leaf_threshold=6, memo=memo)
         assert first == second == oracle.domination_polynomial(g)
         assert len(memo) == size
+
+
+class TestCapOnEnumeratedSet:
+    """The cap bounds the sets the oracle enumerates, not the input graph."""
+
+    def test_recurrences_past_cap(self):
+        g = triangle_chain(6)  # 13 vertices
+        assert g.n > 12
+        want = t_polynomial(6)
+        assert decompose.edge_recurrence(g, cap=12) == want
+        assert decompose.vertex_recurrence(g, cap=12) == want
+
+    def test_oracle_leaf_still_capped(self):
+        with pytest.raises(oracle.EnumerationCapError):
+            decompose.components_product(triangle_chain(6), leaf_threshold=13, cap=12)

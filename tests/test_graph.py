@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from domchain.graph import (
+    MAX_EDGE_LIST_VERTICES,
     EdgeListParseError,
     Graph,
     coalesce,
@@ -186,3 +188,16 @@ class TestEdgeListFormat:
             parse_edge_list(text)
         assert ei.value.line_no == line
         assert f"line {line}:" in str(ei.value)
+
+    def test_header_vertex_bound(self):
+        limit = MAX_EDGE_LIST_VERTICES
+        assert parse_edge_list(f"{limit} 0\n").n == limit
+        with pytest.raises(EdgeListParseError) as ei:
+            parse_edge_list(f"# huge\n{limit + 1} 0\n")
+        assert ei.value.line_no == 2 and "limit" in str(ei.value)
+
+    def test_huge_header_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(EdgeListParseError):
+            parse_edge_list("1000000000 0\n")
+        assert time.perf_counter() - start < 0.5

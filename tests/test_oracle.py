@@ -1,7 +1,9 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domchain import oracle
 from domchain.graph import Graph, complete_graph, cycle_graph, path_graph
@@ -81,30 +83,137 @@ class TestCounting:
         assert oracle.domination_number(Graph.from_edges(0, [])) == 0
 
 
-class TestRestricted:
-    def _restricted_brute(self, g, u):
-        forbidden = set(g.neighbors(u)) | {u}
-        h = g.delete_vertices([u])
-        keep = [v for v in range(g.n) if v != u]
-        counts = [0] * (h.n + 1)
-        allowed = [i for i, v in enumerate(keep) if v not in forbidden]
-        full = h.full_mask
-        for r in range(len(allowed) + 1):
-            for combo in combinations(allowed, r):
-                m = 0
-                for v in combo:
-                    m |= h.closed(v)
-                if m == full:
-                    counts[r] += 1
-        return DomPoly(counts)
+def _brute_table(closed: list[int], target: int) -> list[int]:
+    """Subsets of `closed` whose union covers `target`, counted by size."""
+    counts = [0] * (len(closed) + 1)
+    for r in range(len(closed) + 1):
+        for combo in combinations(closed, r):
+            m = 0
+            for c in combo:
+                m |= c
+            if m & target == target:
+                counts[r] += 1
+    return counts
 
+
+def _restricted_brute(g: Graph, u: int) -> DomPoly:
+    forbidden = set(g.neighbors(u)) | {u}
+    h = g.delete_vertices([u])
+    keep = [v for v in range(g.n) if v != u]
+    allowed = [i for i, v in enumerate(keep) if v not in forbidden]
+    return DomPoly(_brute_table([h.closed(v) for v in allowed], h.full_mask))
+
+
+class TestRestricted:
     def test_against_direct_enumeration(self, rng):
         for _ in range(12):
             g = random_connected_graph(rng, rng.randint(2, 9))
             u = rng.randrange(g.n)
-            assert oracle.restricted_polynomial(g, u) == self._restricted_brute(g, u)
+            assert oracle.restricted_polynomial(g, u) == _restricted_brute(g, u)
 
     def test_pendant_case(self):
         # removing a pendant's support vertex isolates it
         g = path_graph(2)
         assert oracle.restricted_polynomial(g, 0) == DomPoly.zero()
+
+    @pytest.mark.parametrize("spokes", [40, 70])
+    def test_wide_graph_small_enumeration(self, spokes):
+        # u = 0 sees every spoke a_i; the allowed set is the five hubs b_j,
+        # so G has 46 or 76 vertices while only 2^5 subsets are enumerated.
+        hubs = range(spokes + 1, spokes + 6)
+        edges = [(0, a) for a in range(1, spokes + 1)]
+        edges += [(a, hubs[a % 5]) for a in range(1, spokes + 1)]
+        g = Graph.from_edges(spokes + 6, edges)
+        p = oracle.restricted_polynomial(g, 0, cap=5)
+        assert p == _restricted_brute(g, 0) == DomPoly.monomial(1, 5)
+
+
+@st.composite
+def _split_graphs(draw):
+    """Random graphs, stars and complete graphs, with isolated vertices added."""
+    kind = draw(st.sampled_from(["random", "star", "complete"]))
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "random":
+        edges = [e for e in pairs if draw(st.booleans())]
+    elif kind == "star":
+        centre = draw(st.integers(0, max(n - 1, 0)))
+        edges = [(min(centre, v), max(centre, v)) for v in range(n) if v != centre]
+    else:
+        edges = pairs
+    isolated = draw(st.integers(0, 12 - n))
+    return Graph.from_edges(n + isolated, edges)
+
+
+class TestLowHighSplit:
+    """The grouped high-half path, forced onto small graphs by shrinking the low table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_split_graphs(), low_bits=st.integers(0, 5), data=st.data())
+    def test_entry_points_match_brute_force(self, g, low_bits, data):
+        table = _brute_table([g.closed(v) for v in range(g.n)], g.full_mask)
+        with mock.patch.object(oracle, "_LOW_BITS", low_bits):
+            assert oracle.domination_table(g, cap=12) == table
+            assert oracle.count_dominating_sets(g, cap=12) == sum(table)
+            assert oracle.domination_number(g, cap=12) == next(k for k, c in enumerate(table) if c)
+            if g.n:
+                u = data.draw(st.integers(0, g.n - 1))
+                assert oracle.restricted_polynomial(g, u, cap=12) == _restricted_brute(g, u)
+
+    @settings(max_examples=150, deadline=None)
+    @given(closed=st.lists(st.integers(0, (1 << 70) - 1), max_size=10),
+           target=st.sampled_from([0, (1 << 5) - 1, (1 << 30) - 1, (1 << 40) - 1, (1 << 70) - 1]),
+           low_bits=st.integers(0, 5))
+    def test_scan_of_arbitrary_masks(self, closed, target, low_bits):
+        # masks may hold bits outside the target; wide targets need wider words
+        closed = [m & (target | target << 1) for m in closed]
+        with mock.patch.object(oracle, "_LOW_BITS", low_bits):
+            assert oracle._scan(closed, target).tolist() == _brute_table(closed, target)
+
+    @pytest.mark.parametrize("low_bits", range(6))
+    def test_star_centre_on_either_side(self, low_bits):
+        # the high half takes leaves first, then the centre once at most one
+        # candidate is left for the low table (low_bits 0 and 1)
+        g = Graph.from_edges(12, [(0, v) for v in range(1, 12)])
+        want = [0] + [math.comb(11, k - 1) for k in range(1, 13)]
+        want[11] += 1  # all eleven leaves
+        with mock.patch.object(oracle, "_LOW_BITS", low_bits):
+            assert oracle.domination_table(g) == want
+
+
+def _path_cycle_polys(start: list[DomPoly], top: int) -> list[DomPoly]:
+    """p_n = x(p_{n-1} + p_{n-2} + p_{n-3}) from p_1, p_2, p_3."""
+    seq = [None] + start
+    while len(seq) <= top:
+        seq.append(DomPoly.x() * (seq[-1] + seq[-2] + seq[-3]))
+    return seq
+
+
+class TestRealSplit:
+    """Exact families just past the 18-candidate low table."""
+
+    PATHS = _path_cycle_polys([DomPoly((0, 1)), DomPoly((0, 2, 1)), DomPoly((0, 1, 3, 1))], 22)
+    CYCLES = _path_cycle_polys([DomPoly((0, 1)), DomPoly((0, 2, 1)), DomPoly((0, 3, 3, 1))], 22)
+
+    @pytest.mark.parametrize("n", range(19, 23))
+    def test_paths_and_cycles(self, n):
+        assert n > oracle._LOW_BITS
+        assert oracle.domination_polynomial(path_graph(n)) == self.PATHS[n]
+        assert oracle.domination_polynomial(cycle_graph(n)) == self.CYCLES[n]
+
+    def test_complete_graph(self):
+        assert oracle.domination_polynomial(complete_graph(20)) == _binomial_poly(20)
+
+    def test_star(self):
+        g = Graph.from_edges(20, [(0, v) for v in range(1, 20)])
+        # sets holding the centre, plus the set of all 19 leaves
+        want = [0] + [math.comb(19, k - 1) for k in range(1, 21)]
+        want[19] += 1
+        assert oracle.domination_table(g) == want
+        assert oracle.domination_number(g) == 1
+
+    def test_edgeless(self):
+        g = Graph.from_edges(20, [])
+        assert oracle.domination_polynomial(g) == DomPoly.monomial(1, 20)
+        assert oracle.count_dominating_sets(g) == 1
+        assert oracle.domination_number(g) == 20
