@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import decompose, families, oracle, verify
-from .graph import EdgeListParseError, Graph, parse_edge_list
+from .graph import MAX_EDGE_LIST_VERTICES, EdgeListParseError, parse_edge_list
 from .poly import DomPoly
 
 EXIT_OK = 0
@@ -46,10 +46,21 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _check_cap(cap: int | None) -> int | None:
-    if cap is not None and cap > oracle.HARD_CAP:
-        raise UsageError(f"--cap {cap} exceeds hard safety limit {oracle.HARD_CAP}")
+def _check_cap(cap: int | None) -> int:
+    """The enumeration cap to use; --cap must lie in 0..HARD_CAP."""
+    if cap is None:
+        return oracle.DEFAULT_CAP
+    if not 0 <= cap <= oracle.HARD_CAP:
+        raise UsageError(f"--cap {cap} is outside the hard safety limits 0..{oracle.HARD_CAP}")
     return cap
+
+
+def _check_size(family: str, n: int) -> None:
+    """Refuse a family member larger than an edge-list input may be, before any work."""
+    order = families.family_order(family, n)
+    if order > MAX_EDGE_LIST_VERTICES:
+        raise UsageError(f"family {family} at n={n} has {order} vertices, "
+                         f"limit is {MAX_EDGE_LIST_VERTICES}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -94,42 +105,41 @@ def cmd_compute(args) -> int:
             raise UsageError("--method recurrence requires a --family input")
         with open(args.file) as f:
             g = parse_edge_list(f.read())
-        records = [_record(None, g.n, _compute_one(args.method, g, cap))]
+        results = [(g.n, _compute_one(args.method, g, cap))]
     else:
         if args.family is None:
             raise UsageError("one of --family or --file is required")
         if args.n is None and args.n_range is None:
             raise UsageError("one of --n or --n-range is required with --family")
-        ns = [args.n] if args.n is not None else list(_parse_range(args.n_range))
+        ns = range(args.n, args.n + 1) if args.n is not None else _parse_range(args.n_range)
+        _check_size(args.family, ns[-1])
         if args.method == "recurrence":
             polys = families.family_polynomials(args.family, ns[0], ns[-1])
         else:
+            if args.method == "oracle":
+                for n in ns:
+                    order = families.FamilySpec(args.family, n).order()
+                    if order > cap:
+                        raise oracle.EnumerationCapError(order, cap)
             polys = [_compute_one(args.method, families.build_chain(args.family, n), cap)
                      for n in ns]
-        records = [_record(args.family, n, p) for n, p in zip(ns, polys)]
+        results = list(zip(ns, polys))
 
+    single = len(results) == 1 and args.n_range is None
     if args.format == "json":
-        payload = records[0] if len(records) == 1 and args.n_range is None else records
-        out = json.dumps(payload, indent=2) + "\n"
+        records = [_record(args.family, n, p) for n, p in results]
+        out = json.dumps(records[0] if single else records, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["family", "n", "degree", "gamma", "count_at_1", "polynomial"])
-        for r in records:
-            w.writerow([r["family"] or "", r["n"], r["degree"], r["gamma"],
-                        r["count_at_1"], DomPoly.from_coeff_strings(r["coeffs"]).to_text()])
+        for n, p in results:
+            w.writerow([args.family or "", n, p.degree, p.gamma(), p.eval_at(1), p.to_text()])
         out = buf.getvalue()
     else:
-        lines = []
-        for r in records:
-            poly = DomPoly.from_coeff_strings(r["coeffs"]).to_text()
-            if len(records) == 1 and args.n_range is None:
-                lines.append(poly)
-            else:
-                lines.append(
-                    f"n={r['n']} degree={r['degree']} gamma={r['gamma']} "
-                    f"count={r['count_at_1']} {poly}"
-                )
+        lines = [p.to_text() if single else
+                 f"n={n} degree={p.degree} gamma={p.gamma()} count={p.eval_at(1)} {p.to_text()}"
+                 for n, p in results]
         out = "\n".join(lines) + "\n"
     _emit(out, args.output)
     return EXIT_OK
@@ -158,15 +168,14 @@ def cmd_verify(args) -> int:
 
 def _sequence_values(family: str, max_n: int) -> tuple[int, list[int]]:
     """(start index, counts) of total dominating sets along the family."""
+    _check_size(family, max_n)
     if family == "T":
         return 0, families.t_count_sequence(max_n)
-    if max_n < 1:
-        raise UsageError(f"family {family} sequences start at n=1; --max-n must be >= 1")
-    states = families.q_stream(max_n) if family == "Q" else families.o_stream(max_n)
-    return 1, [states[n].chain.eval_at(1) for n in range(1, max_n + 1)]
+    return 1, [p.eval_at(1) for p in families.family_polynomials(family, 1, max_n)]
 
 
 def cmd_sequence(args) -> int:
+    _check_cap(args.cap)  # accepted for symmetry with the other commands; unused
     start, values = _sequence_values(args.family, args.max_n)
     if args.format == "json":
         out = json.dumps({
@@ -191,8 +200,8 @@ def cmd_sequence(args) -> int:
 
 def cmd_bench(args) -> int:
     cap = _check_cap(args.cap)
-    cap_val = oracle.DEFAULT_CAP if cap is None else cap
     ns = _parse_range(args.n_range)
+    _check_size(args.family, ns[-1])
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["family", "n", "vertices", "subsets",
@@ -202,13 +211,13 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         families.family_polynomial(args.family, n)
         rec_s = time.perf_counter() - t0
-        if order > cap_val:
+        if order > cap:
             w.writerow([args.family, n, order, 2 ** order, "", f"{rec_s:.6f}", "",
-                        f"skipped: {order} vertices exceeds cap {cap_val}"])
+                        f"skipped: {order} vertices exceeds cap {cap}"])
             continue
         g = families.build_chain(args.family, n)
         t0 = time.perf_counter()
-        oracle.domination_polynomial(g, cap=cap_val)
+        oracle.domination_polynomial(g, cap=cap)
         orc_s = time.perf_counter() - t0
         speedup = orc_s / rec_s if rec_s > 0 else float("inf")
         w.writerow([args.family, n, order, 2 ** order,

@@ -1,16 +1,15 @@
-"""Cactus chain constructors and their closed recurrence systems.
+"""Cactus chain families, built from two tables, and their closed recurrence systems.
 
-Families:
-  T   chain of n triangles, consecutive triangles sharing a cut vertex
-  Q   para-chain of n squares (cut vertices of a square non-adjacent)
-  O   ortho-chain of n squares (cut vertices adjacent)
-
-Gadget variants attach extra structure at the chain's free terminal vertex:
-  X+e    one pendant vertex
-  Xtri   a triangle (sharing the terminal vertex)
-  X2     a pendant path of length 2
-  Qp     two pendant vertices
-  Op     a diamond (K4 minus an edge), sharing a degree-3 vertex
+A chain family is one block repeated n times (_BLOCKS: a width and the block's
+edges in local labels, cut vertices at local 0 and width); block k puts local
+i at vertex width*k + i, so the free terminal is vertex width*n.  T chains
+triangles, Q (para) squares cut at opposite corners, O (ortho) squares cut at
+adjacent corners.  An attachment kind is one edge list (_GADGETS) in local
+labels: 0 is the vertex it attaches at, i >= 1 the i-th new vertex.  Each
+gadget family attaches its adopted kind at the terminal: X+e a pendant vertex,
+Xtri a triangle, X2 a pendant path of length 2, Qp two pendant vertices, Op a
+diamond (K4 minus an edge) sharing a degree-3 vertex.  Graphs, vertex counts
+and terminals are all read from these two tables.
 
 The X2/Qp/Op shapes are fixed by oracle arbitration of the published
 identities, not by the stated one-line descriptions: the two-pendant star
@@ -20,16 +19,14 @@ the X(2) stream from n=1 on, while the pendant path satisfies all of them
 the evidence.
 
 Every recurrence identity of the three systems is declared once, as data, in
-IDENTITIES.  The stream evaluation here and the checks in verify.py both read
-that table; a literal-paper variant is an entry with adopted=False that
-carries its erratum.
+IDENTITIES.  One bottom-up pass over a system's streams serves every
+polynomial view here and the closed-stream checks in verify.py; a
+literal-paper variant is an entry with adopted=False that carries its erratum.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
-from itertools import islice
 from operator import add
 from typing import Callable
 
@@ -48,6 +45,22 @@ STREAMS = {
 GADGET_FAMILIES = STREAMS["Q"][1:] + STREAMS["O"][1:]
 FAMILY_NAMES = CHAIN_FAMILIES + GADGET_FAMILIES
 
+# family -> (width, block edges in local labels 0..width)
+_BLOCKS = {
+    "T": (2, ((0, 1), (1, 2), (0, 2))),
+    "Q": (3, ((0, 1), (0, 2), (1, 3), (2, 3))),
+    "O": (3, ((0, 3), (0, 1), (1, 2), (2, 3))),
+}
+
+# kind -> edges in local labels (0: the attachment vertex, i >= 1: new vertices)
+_GADGETS = {
+    "pendant": ((0, 1),),
+    "triangle": ((0, 1), (1, 2), (2, 0)),
+    "pendant_path": ((0, 1), (1, 2)),
+    "two_pendants": ((0, 1), (0, 2)),
+    "diamond": ((0, 1), (1, 2), (2, 0), (0, 3), (2, 3)),  # 0 and 2: the degree-3 pair
+}
+
 # adopted by oracle arbitration; see module docstring and the errata below
 ADOPTED_ATTACHMENT = {
     "Q+e": "pendant",
@@ -60,14 +73,6 @@ ADOPTED_ATTACHMENT = {
     "Op": "diamond",
 }
 
-_EXTRA_VERTICES = {
-    "pendant": 1,
-    "triangle": 2,
-    "pendant_path": 2,
-    "two_pendants": 2,
-    "diamond": 3,
-}
-
 
 class RecurrenceConfigError(RuntimeError):
     """A closed-recurrence stream produced a non-domination polynomial."""
@@ -77,17 +82,31 @@ class RecurrenceConfigError(RuntimeError):
         self.identity = identity
 
 
+def _first_n(family: str, recurrence: bool = False) -> int:
+    """First valid n of the family's graphs or, with `recurrence`, of its closed recurrence.
+
+    Graphs start at n = 1 for T and n = 0 otherwise; the plain chains' closed
+    recurrences start at n = 1.
+    """
+    if family not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
+    return 1 if family == "T" or (recurrence and family in CHAIN_FAMILIES) else 0
+
+
+def _check_n(family: str, n: int, recurrence: bool = False) -> None:
+    low = _first_n(family, recurrence)
+    if n < low:
+        what = "recurrences" if recurrence else "graphs"
+        raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
     n: int
 
     def __post_init__(self):
-        if self.family not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILY_NAMES}")
-        low = 1 if self.family == "T" else 0
-        if self.n < low:
-            raise ValueError(f"family {self.family} requires n >= {low}, got {self.n}")
+        _check_n(self.family, self.n)
 
     def build(self) -> Graph:
         return build_chain(self.family, self.n)
@@ -96,89 +115,58 @@ class FamilySpec:
         return family_order(self.family, self.n)
 
 
-def family_order(family: str, n: int, attachment: str | None = None) -> int:
-    """Vertex count of the family member; `attachment` overrides the adopted shape."""
-    if family == "T":
-        return 2 * n + 1
-    base = 3 * n + 1
-    if family in ("Q", "O"):
-        return base
-    return base + _EXTRA_VERTICES[attachment or ADOPTED_ATTACHMENT[family]]
-
-
 # -- constructors ----------------------------------------------------------
 
-def triangle_chain(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"triangle chain requires n >= 1, got {n}")
-    edges = []
-    for k in range(1, n + 1):
-        c0, m, c1 = 2 * (k - 1), 2 * k - 1, 2 * k
-        edges += [(c0, m), (m, c1), (c0, c1)]
-    return Graph.from_edges(2 * n + 1, edges)
+def family_order(family: str, n: int, attachment: str | None = None) -> int:
+    """Vertex count of the family member; `attachment` overrides the adopted shape."""
+    order = _BLOCKS[family[0]][0] * n + 1
+    if family in CHAIN_FAMILIES:
+        return order
+    return order + max(map(max, _GADGETS[attachment or ADOPTED_ATTACHMENT[family]]))
 
 
-def para_chain(n: int) -> Graph:
-    """Q_n; Q_0 is the single-vertex graph."""
-    if n < 0:
-        raise ValueError(f"chain length must be nonnegative, got {n}")
-    edges = []
-    for k in range(1, n + 1):
-        c0, a, b, c1 = 3 * (k - 1), 3 * k - 2, 3 * k - 1, 3 * k
-        edges += [(c0, a), (c0, b), (a, c1), (b, c1)]
-    return Graph.from_edges(3 * n + 1, edges)
-
-
-def ortho_chain(n: int) -> Graph:
-    """O_n; O_0 is the single-vertex graph."""
-    if n < 0:
-        raise ValueError(f"chain length must be nonnegative, got {n}")
-    edges = []
-    for k in range(1, n + 1):
-        c0, d, e, c1 = 3 * (k - 1), 3 * k - 2, 3 * k - 1, 3 * k
-        edges += [(c0, c1), (c0, d), (d, e), (e, c1)]
-    return Graph.from_edges(3 * n + 1, edges)
+def terminal_vertex(family: str, n: int) -> int:
+    """The free end of the chain, where gadgets attach."""
+    return _BLOCKS[family[0]][0] * n
 
 
 def attach_gadget(g: Graph, v: int, kind: str) -> Graph:
     """Attach the named structure at vertex v (new vertices labeled upward)."""
     g._check_vertex(v)
-    n = g.n
-    edges = list(g.edges())
-    if kind == "pendant":
-        edges += [(v, n)]
-    elif kind == "triangle":
-        edges += [(v, n), (n, n + 1), (n + 1, v)]
-    elif kind == "pendant_path":
-        edges += [(v, n), (n, n + 1)]
-    elif kind == "two_pendants":
-        edges += [(v, n), (v, n + 1)]
-    elif kind == "diamond":
-        # v and n+1 form the degree-3 pair of the diamond
-        edges += [(v, n), (n, n + 1), (n + 1, v), (v, n + 2), (n + 1, n + 2)]
-    else:
+    if kind not in _GADGETS:
         raise ValueError(f"unknown attachment kind {kind!r}")
-    return Graph.from_edges(n + _EXTRA_VERTICES[kind], edges)
-
-
-def terminal_vertex(family: str, n: int) -> int:
-    """The free end of the chain, where gadgets attach."""
-    return 2 * n if family == "T" else 3 * n
+    # local 0 is v, local i >= 1 is new vertex g.n + i - 1
+    new = [tuple(g.n + i - 1 if i else v for i in edge) for edge in _GADGETS[kind]]
+    return Graph.from_edges(max(map(max, new)) + 1, [*g.edges(), *new])
 
 
 def build_chain(family: str, n: int, attachment: str | None = None) -> Graph:
     """Build a chain or gadget graph; `attachment` overrides the adopted shape."""
-    FamilySpec(family, n)  # validates name and range
-    if family == "T":
-        return triangle_chain(n)
-    base_builder = para_chain if family.startswith("Q") else ortho_chain
-    base = base_builder(n)
-    if family in ("Q", "O"):
+    _check_n(family, n)
+    width, block = _BLOCKS[family[0]]
+    chain = Graph.from_edges(
+        width * n + 1, [(width * k + a, width * k + b) for k in range(n) for a, b in block])
+    if family in CHAIN_FAMILIES:
         if attachment is not None:
             raise ValueError("plain chains take no attachment")
-        return base
+        return chain
     kind = attachment or ADOPTED_ATTACHMENT[family]
-    return attach_gadget(base, terminal_vertex(family[0], n), kind)
+    return attach_gadget(chain, terminal_vertex(family, n), kind)
+
+
+def triangle_chain(n: int) -> Graph:
+    """T_n, n >= 1."""
+    return build_chain("T", n)
+
+
+def para_chain(n: int) -> Graph:
+    """Q_n; Q_0 is the single-vertex graph."""
+    return build_chain("Q", n)
+
+
+def ortho_chain(n: int) -> Graph:
+    """O_n; O_0 is the single-vertex graph."""
+    return build_chain("O", n)
 
 
 # -- the identities, declared once --------------------------------------------
@@ -192,12 +180,7 @@ class Erratum:
     literal_note: str = ""  # appended to the evidence when literal checks are reported
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "stated": self.stated,
-            "validated": self.validated,
-            "evidence": self.evidence,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "literal_note"}
 
 
 Ref = tuple[str, int]  # (stream, index offset from n)
@@ -349,10 +332,6 @@ T0_COUNT_SEED = 2  # formal seed of the count sequence; T_0 is not a graph here
 
 def _validated(p: DomPoly, order: int, identity: str) -> DomPoly:
     """Check the domination-polynomial invariants a stream value must satisfy."""
-    if order == 0:
-        if p != DomPoly.one():
-            raise RecurrenceConfigError(identity, f"expected constant 1, got {p.to_text()}")
-        return p
     if p.degree != order:
         raise RecurrenceConfigError(identity, f"degree {p.degree} != vertex count {order}")
     if p[order] != 1:
@@ -370,7 +349,7 @@ def _adopted(family: str) -> dict[str, Identity]:
 
 
 def _stream_values(family: str, n: int):
-    """Yield {stream: validated polynomial} for k = first..n, bottom-up.
+    """Yield (k, {stream: validated polynomial}) for k = first graph n..n, bottom-up.
 
     Only the last few k are kept, as deep as the identities look back.
     """
@@ -381,7 +360,7 @@ def _stream_values(family: str, n: int):
     def value(stream: str, k: int) -> DomPoly:
         return window[k][stream]
 
-    for k in range(1 if family == "T" else 0, n + 1):
+    for k in range(_first_n(family), n + 1):
         window.pop(k - depth - 1, None)
         window[k] = cur = {}
         for s in STREAMS[family]:
@@ -394,27 +373,31 @@ def _stream_values(family: str, n: int):
                     p = oracle.domination_polynomial(build_chain(s, k))
             name = f"{s}-chain" if s in CHAIN_FAMILIES else f"{s} stream"
             cur[s] = _validated(p, family_order(s, k), f"{name} n={k}")
-        yield cur
+        yield k, cur
 
 
-def _last(family: str, n: int) -> dict[str, DomPoly]:
-    return deque(_stream_values(family, n), maxlen=1)[0]
+def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
+    """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
+    for n in (lo, hi):
+        _check_n(family, n, recurrence=True)
+    return [v[family] for k, v in _stream_values(family[0], hi) if k >= lo]
+
+
+def family_polynomial(family: str, n: int) -> DomPoly:
+    """Recurrence-path polynomial for any family name, including gadget streams."""
+    return family_polynomials(family, n, n)[0]
 
 
 # -- T chain ----------------------------------------------------------------------
 
 def t_polynomial(n: int) -> DomPoly:
     """D(T_n,x) by the order-2 polynomial recurrence."""
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
-    return _last("T", n)["T"]
+    return family_polynomial("T", n)
 
 
 def t_coefficient_table(n: int) -> list[int]:
     """Row of dominating-set counts d(T_n, k), k = 0..2n+1: the T identity read coefficient-wise."""
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
-    return list(_last("T", n)["T"].coeffs)
+    return list(family_polynomial("T", n).coeffs)
 
 
 def t_count_sequence(n_max: int) -> list[int]:
@@ -450,10 +433,8 @@ class CoupledState:
 
 
 def _states(family: str, n: int) -> list[CoupledState]:
-    if n < 0:
-        raise ValueError(f"n >= 0 required, got {n}")
-    return [CoupledState(k, *(v[s] for s in STREAMS[family]))
-            for k, v in enumerate(_stream_values(family, n))]
+    _check_n(family, n)
+    return [CoupledState(k, *v.values()) for k, v in _stream_values(family, n)]
 
 
 def q_stream(n: int) -> list[CoupledState]:
@@ -463,9 +444,7 @@ def q_stream(n: int) -> list[CoupledState]:
 
 def q_polynomial(n: int) -> DomPoly:
     """D(Q_n,x) via the coupled closed system."""
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
-    return q_stream(n)[n].chain
+    return family_polynomial("Q", n)
 
 
 def o_stream(n: int) -> list[CoupledState]:
@@ -475,25 +454,4 @@ def o_stream(n: int) -> list[CoupledState]:
 
 def o_polynomial(n: int) -> DomPoly:
     """D(O_n,x) via the coupled closed system."""
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
-    return o_stream(n)[n].chain
-
-
-def family_polynomial(family: str, n: int) -> DomPoly:
-    """Recurrence-path polynomial for any family name, including gadget streams."""
-    if family == "T":
-        FamilySpec(family, n)  # validates the range
-        return t_polynomial(n)
-    return family_polynomials(family, n, n)[0]
-
-
-def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
-    """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
-    FamilySpec(family, lo)  # validates name and range
-    if family in ("Q", "O") and lo < 1:
-        raise ValueError("chain recurrences start at n = 1")
-    if family == "T":
-        return [v["T"] for v in islice(_stream_values("T", hi), lo - 1, None)]
-    states = q_stream(hi) if family[0] == "Q" else o_stream(hi)
-    return [states[n].value(family) for n in range(lo, hi + 1)]
+    return family_polynomial("O", n)

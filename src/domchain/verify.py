@@ -110,9 +110,6 @@ class _OracleCache:
         self.cap = cap
         self._polys: dict[tuple, DomPoly] = {}
 
-    def fits(self, family: str, n: int, attachment: str | None = None) -> bool:
-        return families.family_order(family, n, attachment) <= self.cap
-
     def poly(self, family: str, n: int, attachment: str | None = None) -> DomPoly:
         key = (family, n, attachment)
         if key not in self._polys:
@@ -139,7 +136,8 @@ def verify_families(
             continue
         table = families.IDENTITIES[fam]
         top = 0  # the largest n whose graphs all fit the cap
-        while top < max_n and all(c.fits(e.lhs, top + 1, e.subject) for e in table):
+        while top < max_n and all(
+                families.family_order(e.lhs, top + 1, e.subject) <= c.cap for e in table):
             top += 1
         for n in range(1, top + 1):
             for e in table:
@@ -156,23 +154,16 @@ def verify_families(
     return report
 
 
-def _const(value: int) -> DomPoly:
-    return DomPoly((value,))
-
-
 def _closed_checks(fam: str, top: int, c: _OracleCache):
-    """The recurrence-built streams themselves against the oracle, n = 1..top."""
-    if fam == "T":
-        counts = families.t_count_sequence(top)
-        for n in range(1, top + 1):
-            want = c.poly("T", n)
-            row = DomPoly(families.t_coefficient_table(n))
-            yield IdentityCheck("T", n, "d(T_n,k) coefficient-table recurrence", row, want)
+    """The recurrence-built streams themselves against the oracle, n = 1..top, in one pass."""
+    counts = families.t_count_sequence(top) if fam == "T" else None
+    for n, values in families._stream_values(fam, top):
+        if n < 1:
+            continue
+        for s, p in values.items():
+            label = ("d(T_n,k) coefficient-table recurrence" if s == "T"
+                     else f"closed {s} stream vs oracle")
+            yield IdentityCheck(fam, n, label, p, c.poly(s, n))
+        if fam == "T":
             yield IdentityCheck("T", n, "t_n = 3t_{n-1} + 2t_{n-2} total-count recurrence",
-                                _const(counts[n]), _const(want.eval_at(1)))
-        return
-    states = families.q_stream(top) if fam == "Q" else families.o_stream(top)
-    for n in range(1, top + 1):
-        for s in families.STREAMS[fam]:
-            yield IdentityCheck(fam, n, f"closed {s} stream vs oracle",
-                                states[n].value(s), c.poly(s, n))
+                                DomPoly((counts[n],)), DomPoly((c.poly("T", n).eval_at(1),)))

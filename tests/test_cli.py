@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from domchain import cli
+from domchain import cli, families
 from domchain.families import FAMILY_NAMES, t_polynomial
 
 
@@ -214,3 +214,43 @@ class TestBench:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "bench", "--n-range", "5")
         assert code == 1
+
+
+class TestInputBounds:
+    """Family sizes and --cap are checked before any graph or stream is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--family", "Q", "--n", "1000000000"),
+        ("compute", "--family", "T", "--n-range", "1:1000000000", "--method", "recurrence"),
+        ("sequence", "--family", "T", "--max-n", "1000000000"),
+        ("sequence", "--family", "O", "--max-n", "3334"),
+        ("bench", "--family", "Op", "--n-range", "1:1000000000"),
+    ], ids=" ".join)
+    def test_family_past_vertex_limit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "limit is 10000" in err
+
+    def test_vertex_limit_is_inclusive(self, capsys):
+        # T_4999 has 9999 vertices: it passes the size check and stops at the cap
+        code, _, err = run(capsys, "compute", "--family", "T", "--n", "4999")
+        assert code == 3 and "9999 vertices" in err
+        code, _, err = run(capsys, "compute", "--family", "T", "--n", "5000")
+        assert code == 1 and "10001 vertices" in err
+
+    @pytest.mark.parametrize("cap", ["-1", "31"])
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--family", "T", "--n", "1"), ("verify",), ("bench",),
+        ("sequence", "--family", "T"),
+    ], ids=" ".join)
+    def test_cap_outside_hard_limits(self, capsys, argv, cap):
+        code, out, err = run(capsys, *argv, "--cap", cap)
+        assert code == 1 and out == "" and "0..30" in err
+
+    def test_oracle_cap_checked_before_building(self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(families, "build_chain", no_build)
+        # Q_5..Q_7 fit cap 24; Q_8 (25 vertices) is the first that does not
+        code, out, err = run(capsys, "compute", "--family", "Q", "--n-range", "5:9")
+        assert (code, out, err) == (3, "", "domchain: graph has 25 vertices, enumeration cap is 24\n")

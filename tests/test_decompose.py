@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domchain import decompose, oracle
 from domchain.families import t_polynomial, triangle_chain
@@ -109,3 +110,25 @@ class TestCapOnEnumeratedSet:
     def test_oracle_leaf_still_capped(self):
         with pytest.raises(oracle.EnumerationCapError):
             decompose.components_product(triangle_chain(6), leaf_threshold=13, cap=12)
+
+
+@st.composite
+def _graphs(draw, max_n=11):
+    """Any simple graph on at most max_n vertices: disconnected and isolated vertices included."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+class TestDifferential:
+    """The oracle and the three recurrences are independent routes to one polynomial."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=_graphs(), leaf=st.integers(1, 5))
+    def test_all_methods_agree(self, g, leaf):
+        want = oracle.domination_polynomial(g)
+        assert decompose.vertex_recurrence(g, leaf_threshold=leaf, memo={}) == want
+        assert decompose.components_product(g, leaf_threshold=leaf, memo={}) == want
+        if g.edge_count():
+            assert decompose.edge_recurrence(g, leaf_threshold=leaf, memo={}) == want

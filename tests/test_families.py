@@ -2,13 +2,16 @@ import pytest
 
 from domchain import families, oracle
 from domchain.families import (
+    CHAIN_FAMILIES,
     FAMILY_NAMES,
     IDENTITIES,
     FamilySpec,
     RecurrenceConfigError,
+    attach_gadget,
     build_chain,
     family_order,
     family_polynomial,
+    family_polynomials,
     o_polynomial,
     o_stream,
     q_polynomial,
@@ -71,6 +74,30 @@ class TestConstructors:
         with pytest.raises(ValueError):
             build_chain("Q", 1, attachment="pendant")
         assert FamilySpec("Q+e", 0).build().n == 2
+
+    def test_plain_chains_take_no_attachment(self):
+        for fam in CHAIN_FAMILIES:
+            with pytest.raises(ValueError, match="no attachment"):
+                build_chain(fam, 2, attachment="pendant")
+
+    def test_unknown_attachment_kind(self):
+        with pytest.raises(ValueError, match="unknown attachment"):
+            attach_gadget(build_chain("Q", 1), 0, "square")
+        with pytest.raises(ValueError, match="unknown attachment"):
+            build_chain("Q2", 1, attachment="square")
+
+    @pytest.mark.parametrize("fam", FAMILY_NAMES)
+    def test_first_valid_n(self, fam):
+        graph_lo = 1 if fam == "T" else 0
+        assert FamilySpec(fam, graph_lo).build().n == family_order(fam, graph_lo)
+        with pytest.raises(ValueError, match=f"graphs start at n = {graph_lo}, got"):
+            build_chain(fam, graph_lo - 1)
+        rec_lo = 1 if fam in CHAIN_FAMILIES else 0
+        assert family_polynomial(fam, rec_lo).degree == family_order(fam, rec_lo)
+        with pytest.raises(ValueError, match=f"recurrences start at n = {rec_lo}, got"):
+            family_polynomial(fam, rec_lo - 1)
+        with pytest.raises(ValueError, match=f"recurrences start at n = {rec_lo}, got"):
+            family_polynomials(fam, rec_lo, rec_lo - 1)
 
 
 class TestTriangleChain:
