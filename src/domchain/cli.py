@@ -76,12 +76,17 @@ def _emit(text: str, output: str | None) -> None:
 def _compute_one(method, g, cap):
     if method == "oracle":
         return oracle.domination_polynomial(g, cap=cap)
-    if method == "vertex":
-        return decompose.vertex_recurrence(g, cap=cap, memo={})
-    if method == "edge":
-        return decompose.edge_recurrence(g, cap=cap, memo={})
-    if method == "product":
-        return decompose.components_product(g, cap=cap, memo={})
+    try:
+        if method == "vertex":
+            return decompose.vertex_recurrence(g, cap=cap, memo={})
+        if method == "edge":
+            return decompose.edge_recurrence(g, cap=cap, memo={})
+        if method == "product":
+            return decompose.components_product(g, cap=cap, memo={})
+    except RecursionError:
+        # the recursion removes about one vertex per level, so its depth grows with g.n
+        raise UsageError(f"--method {method} recursed past Python's recursion limit on "
+                         f"{g.n} vertices; use --method oracle or recurrence") from None
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -175,7 +180,7 @@ def _sequence_values(family: str, max_n: int) -> tuple[int, list[int]]:
 
 
 def cmd_sequence(args) -> int:
-    _check_cap(args.cap)  # accepted for symmetry with the other commands; unused
+    _check_cap(args.cap)  # range-checked only: sequence never enumerates
     start, values = _sequence_values(args.family, args.max_n)
     if args.format == "json":
         out = json.dumps({
@@ -233,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exact domination polynomials of graphs and cactus chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json", "csv")):
+    def common(p, formats=("text", "json", "csv"),
+               cap_help=f"enumeration cap override (max {oracle.HARD_CAP})"):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write to file instead of stdout")
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"enumeration cap override (max {oracle.HARD_CAP})")
+        p.add_argument("--cap", type=int, default=None, help=cap_help)
 
     p = sub.add_parser("compute", help="compute a domination polynomial")
     p.add_argument("--family", choices=families.FAMILY_NAMES, default=None)
@@ -263,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="total dominating-set counts along a family")
     p.add_argument("--family", choices=("T", "Q", "O"), required=True)
     p.add_argument("--max-n", type=int, default=10)
-    common(p)
+    common(p, cap_help=f"accepted like the other commands, but sequence never enumerates: "
+                       f"the value is only range-checked (0..{oracle.HARD_CAP})")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("bench", help="time oracle vs closed recurrence (CSV)")

@@ -22,13 +22,33 @@ Every recurrence identity of the three systems is declared once, as data, in
 IDENTITIES.  One bottom-up pass over a system's streams serves every
 polynomial view here and the closed-stream checks in verify.py; a
 literal-paper variant is an entry with adopted=False that carries its erratum.
+
+The pass runs on packed integers (Kronecker substitution, packed once per
+pass): each stream value D(X_k, x) is held as the int D(X_k, 2^B).  B is
+fixed per pass by _digit_bits: the largest stream order `top` at the pass's
+last n, plus bit_length of the largest identity weight (Identity.weight, the
+sum over groups of ||multiplier||_1 times the group's refs), plus 2, rounded
+up to whole bytes.  Evaluation at 2^B is a ring homomorphism, so Identity.rhs
+applies a multiplier power by power of x, a small-integer combination of the
+group sums per power joined by `<< B` Horner steps, never as one big
+product; B = 0 evaluates at x = 1.  Only the values handed out are unpacked.
+
+Validation stays exact.  A packed value is accepted (_Packing.accepts) when,
+read as B-bit digits, digit `order` is one with nothing above, digit 0 is
+zero and no digit reaches 2^(top+1).  By induction every accepted value has
+its coefficients in [0, 2^(top+1)), so a right-hand side has every
+coefficient below weight * 2^(top+1) <= 2^(B-1) in magnitude and its digits
+are exactly its coefficients.  Acceptance therefore holds iff _validated
+holds and no coefficient reaches 2^(top+1), which no domination polynomial
+does (d(G,k) <= 2^order).  A refused value is unpacked and handed to
+_validated, whose messages are unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import oracle
 from .graph import Graph
@@ -198,17 +218,40 @@ class Identity:
     subject: str | None = None     # attachment of the left-hand graph, if not the adopted one
     erratum: Erratum | None = None  # where the published statement differs
 
-    def rhs(self, n: int, value: Callable[[str, int], object], at: int | None = None):
+    def rhs(self, n: int, value: Callable[[str, int], object], shift: int | None = None):
         """Right-hand side at n, with value(stream, k) supplying each referenced term.
 
-        With `at`, the multipliers are evaluated at x = at and the terms are ints.
+        With `shift`, every term is the int D(X, 2^shift) and so is the result:
+        each multiplier is applied power by power of x, joined by Horner steps of
+        `shift` bits (see the module docstring).  shift = 0 evaluates at x = 1.
         """
-        total = None
-        for mult, refs in self.terms:
-            group = reduce(add, (value(s, n + off) for s, off in refs))
-            term = (mult if at is None else mult.eval_at(at)) * group
-            total = term if total is None else total + term
-        return total
+        groups = [reduce(add, (value(s, n + off) for s, off in refs)) for _, refs in self.terms]
+        if shift is None:
+            return reduce(add, (mult * g for (mult, _), g in zip(self.terms, groups)))
+        acc = 0
+        for terms in self._by_power:
+            acc <<= shift
+            for a, g in terms:
+                if a == 1:
+                    acc += groups[g]
+                elif a == -1:
+                    acc -= groups[g]
+                else:
+                    acc += a * groups[g]
+        return acc
+
+    @cached_property
+    def _by_power(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(coefficient, group index) pairs of each power of x, from the top power down."""
+        top = max(mult.degree for mult, _ in self.terms)
+        return tuple(tuple((mult[i], g) for g, (mult, _) in enumerate(self.terms) if mult[i])
+                     for i in range(top, -1, -1))
+
+    @property
+    def weight(self) -> int:
+        """Sum over groups of ||multiplier||_1 * (refs in the group): no right-hand-side
+        coefficient exceeds this many times the largest term coefficient in magnitude."""
+        return sum(sum(map(abs, mult.coeffs)) * len(refs) for mult, refs in self.terms)
 
 
 _p = DomPoly.from_text
@@ -348,39 +391,99 @@ def _adopted(family: str) -> dict[str, Identity]:
     return {e.lhs: e for e in IDENTITIES[family] if e.adopted}
 
 
-def _stream_values(family: str, n: int):
-    """Yield (k, {stream: validated polynomial}) for k = first graph n..n, bottom-up.
+def _digit_bits(rules: Iterable[Identity], top: int) -> int:
+    """B for a pass over streams of at most `top` vertices (see the module docstring)."""
+    return -(-(top + max(e.weight for e in rules).bit_length() + 2) // 8) * 8
 
-    Only the last few k are kept, as deep as the identities look back.
+
+class _Packing:
+    """Polynomials as the ints D(p, 2^bits), one `bits` for one stream pass up to `top` vertices."""
+
+    def __init__(self, rules: Iterable[Identity], top: int):
+        self.top = top
+        self.bits = bits = _digit_bits(rules, top)
+        self._low = (1 << bits) - 1
+        # every bit at or above top + 1 within each of the first top + 1 digits
+        self._bad = int.from_bytes(
+            ((1 << bits) - (2 << top)).to_bytes(bits // 8, "little") * (top + 1), "little")
+
+    def pack(self, p: DomPoly) -> int:
+        """D(p, 2^bits) of a polynomial whose coefficients lie in [0, 2^bits)."""
+        width = self.bits // 8
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in p.coeffs), "little")
+
+    def unpack(self, v: int) -> DomPoly:
+        """The polynomial p with D(p, 2^bits) = v and every |coefficient| < 2^(bits-1).
+
+        Digits are read as byte slices; a digit at or above 2^(bits-1) stands
+        for a negative coefficient that borrowed from the next digit.
+        """
+        bits, width = self.bits, self.bits // 8
+        raw = abs(v).to_bytes((abs(v).bit_length() // bits + 2) * width, "little")
+        digits = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+        half = 1 << (bits - 1)
+        if max(digits) >= half:
+            carry = 0
+            for i, d in enumerate(digits):
+                d += carry
+                carry = int(d >= half)
+                digits[i] = d - (carry << bits)
+        return DomPoly(digits if v >= 0 else [-d for d in digits])
+
+    def accepts(self, v: int, order: int) -> bool:
+        """Whether v, read as digits, has digit `order` one and none above (so v > 0),
+        digit 0 zero, and no digit at or above 2^(top+1)."""
+        return v >> order * self.bits == 1 and not v & self._low and not v & self._bad
+
+
+def _reject(p: DomPoly, order: int, identity: str):
+    """Raise for a stream value the packed check refused."""
+    _validated(p, order, identity)
+    raise RecurrenceConfigError(identity, f"coefficient {max(p.coeffs)} exceeds 2^{order}")
+
+
+def _stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
+    """Yield (k, {stream: validated polynomial}) for k = lo..hi, bottom-up from the first graph n.
+
+    Every stream value is held packed with one B for the pass; only the listed
+    streams at k >= lo are unpacked.  Only the last few k are kept, as deep as
+    the identities look back.
     """
     rules = _adopted(family)
     depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
-    window: dict[int, dict[str, DomPoly]] = {}
+    packing = _Packing(rules.values(), max(family_order(s, hi) for s in STREAMS[family]))
+    window: dict[int, dict[str, int]] = {}
 
-    def value(stream: str, k: int) -> DomPoly:
+    def value(stream: str, k: int) -> int:
         return window[k][stream]
 
-    for k in range(_first_n(family), n + 1):
+    for k in range(_first_n(family), hi + 1):
         window.pop(k - depth - 1, None)
         window[k] = cur = {}
         for s in STREAMS[family]:
-            rule = rules[s]
+            rule, order = rules[s], family_order(s, k)
+            name = f"{s}-chain n={k}" if s in CHAIN_FAMILIES else f"{s} stream n={k}"
             if k >= rule.start:
-                p = rule.rhs(k, value)
+                v = rule.rhs(k, value, packing.bits)
+                if not packing.accepts(v, order):
+                    _reject(packing.unpack(v), order, name)
             else:
                 p = _BASES[s][k]
                 if p is None:
                     p = oracle.domination_polynomial(build_chain(s, k))
-            name = f"{s}-chain" if s in CHAIN_FAMILIES else f"{s} stream"
-            cur[s] = _validated(p, family_order(s, k), f"{name} n={k}")
-        yield k, cur
+                if max(_validated(p, order, name).coeffs) >> (packing.top + 1):
+                    _reject(p, order, name)
+                v = packing.pack(p)
+            cur[s] = v
+        if k >= lo:
+            yield k, {s: packing.unpack(cur[s]) for s in streams}
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
     """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
     for n in (lo, hi):
         _check_n(family, n, recurrence=True)
-    return [v[family] for k, v in _stream_values(family[0], hi) if k >= lo]
+    return [v[family] for _, v in _stream_values(family[0], lo, hi, (family,))]
 
 
 def family_polynomial(family: str, n: int) -> DomPoly:
@@ -407,7 +510,7 @@ def t_count_sequence(n_max: int) -> list[int]:
     rule = _adopted("T")["T"]
     seq = [T0_COUNT_SEED, _BASES["T"][1].eval_at(1)]
     while len(seq) <= n_max:
-        seq.append(rule.rhs(len(seq), lambda _, k: seq[k], at=1))
+        seq.append(rule.rhs(len(seq), lambda _, k: seq[k], shift=0))
     return seq[: n_max + 1]
 
 
@@ -434,7 +537,8 @@ class CoupledState:
 
 def _states(family: str, n: int) -> list[CoupledState]:
     _check_n(family, n)
-    return [CoupledState(k, *v.values()) for k, v in _stream_values(family, n)]
+    return [CoupledState(k, *v.values())
+            for k, v in _stream_values(family, 0, n, STREAMS[family])]
 
 
 def q_stream(n: int) -> list[CoupledState]:

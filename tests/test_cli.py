@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import domchain
 from domchain import cli, families
 from domchain.families import FAMILY_NAMES, t_polynomial
 
@@ -254,3 +258,20 @@ class TestInputBounds:
         # Q_5..Q_7 fit cap 24; Q_8 (25 vertices) is the first that does not
         code, out, err = run(capsys, "compute", "--family", "Q", "--n-range", "5:9")
         assert (code, out, err) == (3, "", "domchain: graph has 25 vertices, enumeration cap is 24\n")
+
+    @pytest.mark.parametrize("method", ["vertex", "edge", "product"])
+    def test_deep_recursion_is_input_error(self, method):
+        # compute --family T --n 400 (801 vertices) takes seconds to exhaust the
+        # default recursion limit; a lowered limit reaches the same error on T_100
+        argv = ["compute", "--family", "T", "--n", "100", "--method", method]
+        code = ("import sys; sys.setrecursionlimit(250); from domchain.cli import main; "
+                f"sys.exit(main({argv!r}))")
+        src = os.path.dirname(os.path.dirname(domchain.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+        assert r.returncode == 1 and r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr == (f"domchain: error: --method {method} recursed past Python's "
+                            "recursion limit on 201 vertices; use --method oracle or recurrence\n")

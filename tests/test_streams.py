@@ -104,3 +104,52 @@ def test_wrong_multiplier_is_rejected(monkeypatch, fam, lhs, old, new, message):
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial(fam, 8)
     assert str(ei.value) == message
+
+
+# -- packed evaluation ---------------------------------------------------------------
+
+def test_digit_bits_follow_the_largest_weight():
+    rules = list(families._adopted("Q").values())
+    heavy = families._identity("Q", [("1000x^2+x", [("Q", -1), ("Qp", -1)])], 1, "synthetic")
+    assert max(e.weight for e in rules) == 17 and heavy.weight == 2002
+    for top in (4, 101, 830):
+        bits = families._digit_bits(rules, top)
+        assert bits % 8 == 0 and top + 7 <= bits < top + 15  # bit_length(17) + 2 = 7
+        heavy_bits = families._digit_bits([*rules, heavy], top)
+        assert heavy_bits > bits and heavy_bits >= top + 13  # bit_length(2002) + 2 = 13
+
+
+def test_heavy_multiplier_is_read_exactly(monkeypatch):
+    # B grows with the identity's weight, so the digits still read back exactly
+    _with_multiplier(monkeypatch, "T", "T", "x^2+2x", "x^2+1000000x")
+    want = max(_plain_streams("T", 3)["T", 3].coeffs)
+    assert want > 1 << 23
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("T", 5)
+    assert str(ei.value) == f"T-chain n=3: coefficient {want} exceeds 2^7"
+
+
+def test_base_coefficient_above_subset_count_is_rejected(monkeypatch):
+    monkeypatch.setitem(families._BASES["Qtri"], 0, _p(f"x^3+3x^2+{1 << 40}x"))
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("Qtri", 2)
+    assert str(ei.value) == f"Qtri stream n=0: coefficient {1 << 40} exceeds 2^3"
+
+
+@pytest.mark.parametrize("text, accepted", [
+    ("x^4+4x^3+6x^2+2x", True),
+    ("x^4+4x^3-6x^2+2x", False),   # negative coefficient
+    ("-x^4+4x^3+6x^2+2x", False),  # negative leading coefficient, v < 0
+    ("x^4+4x^3+6x^2+2x+1", False),  # constant term
+    ("x^5+4x^3+6x^2+2x", False),   # degree
+    ("x^4+4x^3+32x^2+2x", False),  # a coefficient at 2^(top+1)
+    ("x^4+4x^3+31x^2+2x", True),   # just below it
+])
+def test_packed_check_and_unpack(text, accepted):
+    packing = families._Packing(families._adopted("O").values(), 4)
+    p = _p(text)
+    v = p.eval_at(1 << packing.bits)
+    assert packing.unpack(v) == p
+    assert packing.accepts(v, 4) is accepted
+    if accepted:
+        assert packing.pack(p) == v
