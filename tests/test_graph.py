@@ -4,6 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from domchain import families
+from domchain.families import attach_gadget
 from domchain.graph import (
     MAX_EDGE_LIST_VERTICES,
     EdgeListParseError,
@@ -158,6 +160,53 @@ def test_random_surgery_preserves_invariants(seed, n):
             if es:
                 g = g.delete_edge(*rng.choice(es))
         assert _is_valid(g)
+
+
+# gadget edge lists in local labels (0: the attachment vertex), written out
+# here so the glued labels are checked against data independent of families.py
+_GADGET_EDGES = {
+    "pendant": [(0, 1)],
+    "triangle": [(0, 1), (1, 2), (2, 0)],
+    "pendant_path": [(0, 1), (1, 2)],
+    "two_pendants": [(0, 1), (0, 2)],
+    "diamond": [(0, 1), (1, 2), (2, 0), (0, 3), (2, 3)],
+}
+
+
+def _glued(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
+    """g2 glued onto g1 by from_edges: v2 becomes v1, the other g2 vertices
+    follow g1's in their original order."""
+    others = [w for w in range(g2.n) if w != v2]
+    label = {v2: v1, **{w: g1.n + i for i, w in enumerate(others)}}
+    return Graph.from_edges(g1.n + len(others),
+                            [*g1.edges(), *((label[a], label[b]) for a, b in g2.edges())])
+
+
+@st.composite
+def _small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+class TestGluedLabels:
+    @settings(max_examples=80, deadline=None)
+    @given(g1=_small_graphs(), g2=_small_graphs(), data=st.data())
+    def test_coalesce(self, g1, g2, data):
+        v1 = data.draw(st.integers(0, g1.n - 1))
+        v2 = data.draw(st.integers(0, g2.n - 1))
+        assert coalesce(g1, v1, g2, v2) == _glued(g1, v1, g2, v2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=_small_graphs(), data=st.data())
+    def test_append_pendant_and_gadgets(self, g, data):
+        v = data.draw(st.integers(0, g.n - 1))
+        assert g.append_pendant(v) == _glued(g, v, path_graph(2), 0)
+        assert set(families._GADGETS) == set(_GADGET_EDGES)
+        for kind, edges in _GADGET_EDGES.items():
+            gadget = Graph.from_edges(max(map(max, edges)) + 1, edges)
+            assert attach_gadget(g, v, kind) == _glued(g, v, gadget, 0)
 
 
 class TestEdgeListFormat:
