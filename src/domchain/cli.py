@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import decompose, families, oracle, verify
-from .graph import MAX_EDGE_LIST_VERTICES, EdgeListParseError, parse_edge_list
+from .graph import MAX_EDGE_LIST_VERTICES, parse_edge_list
 from .poly import DomPoly
 
 EXIT_OK = 0
@@ -76,18 +76,14 @@ def _emit(text: str, output: str | None) -> None:
 def _compute_one(method, g, cap):
     if method == "oracle":
         return oracle.domination_polynomial(g, cap=cap)
+    evaluate = {"vertex": decompose.vertex_recurrence, "edge": decompose.edge_recurrence,
+                "product": decompose.components_product}[method]
     try:
-        if method == "vertex":
-            return decompose.vertex_recurrence(g, cap=cap, memo={})
-        if method == "edge":
-            return decompose.edge_recurrence(g, cap=cap, memo={})
-        if method == "product":
-            return decompose.components_product(g, cap=cap, memo={})
+        return evaluate(g, cap=cap)
     except RecursionError:
         # the recursion removes about one vertex per level, so its depth grows with g.n
         raise UsageError(f"--method {method} recursed past Python's recursion limit on "
                          f"{g.n} vertices; use --method oracle or recurrence") from None
-    raise UsageError(f"unknown method {method!r}")
 
 
 def _record(family: str | None, n: int, p: DomPoly) -> dict:
@@ -180,7 +176,6 @@ def _sequence_values(family: str, max_n: int) -> tuple[int, list[int]]:
 
 
 def cmd_sequence(args) -> int:
-    _check_cap(args.cap)  # range-checked only: sequence never enumerates
     start, values = _sequence_values(args.family, args.max_n)
     if args.format == "json":
         out = json.dumps({
@@ -238,12 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exact domination polynomials of graphs and cactus chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json", "csv"),
-               cap_help=f"enumeration cap override (max {oracle.HARD_CAP})"):
+    def common(p, formats=("text", "json", "csv"), cap=True):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write to file instead of stdout")
-        p.add_argument("--cap", type=int, default=None, help=cap_help)
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help=f"enumeration cap override (max {oracle.HARD_CAP})")
 
     p = sub.add_parser("compute", help="compute a domination polynomial")
     p.add_argument("--family", choices=families.FAMILY_NAMES, default=None)
@@ -268,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="total dominating-set counts along a family")
     p.add_argument("--family", choices=("T", "Q", "O"), required=True)
     p.add_argument("--max-n", type=int, default=10)
-    common(p, cap_help=f"accepted like the other commands, but sequence never enumerates: "
-                       f"the value is only range-checked (0..{oracle.HARD_CAP})")
+    common(p, cap=False)  # sequence never enumerates
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("bench", help="time oracle vs closed recurrence (CSV)")
@@ -290,10 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.EnumerationCapError as e:
         print(f"domchain: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (UsageError, EdgeListParseError) as e:
-        print(f"domchain: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:  # EdgeListParseError is a ValueError
         print(f"domchain: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,7 +6,8 @@ Product route:  D(G) = product of D over connected components.
 
 The x/(x-1) factor never leaves the integers: the bracket is divisible by
 (x-1), which is asserted on every call.  These evaluators are exponential in
-the worst case; their job is validation, not speed.
+the worst case; their job is validation, not speed.  Every call memoizes the
+subgraphs it evaluates by value: in `memo` when given, else in a fresh dict.
 """
 from __future__ import annotations
 
@@ -34,18 +35,15 @@ def _pivot_edge(g: Graph) -> tuple[int, int]:
     return u, v
 
 
-def _eval(g: Graph, leaf: int, cap: int | None, memo: dict | None) -> DomPoly:
+def _eval(g: Graph, leaf: int, cap: int | None, memo: dict) -> DomPoly:
     if g.n <= leaf:
         return oracle.domination_polynomial(g, cap=cap)
-    if memo is not None and g in memo:
-        return memo[g]
-    p = _apply_vertex(g, max_degree_vertex(g), leaf, cap, memo)
-    if memo is not None:
-        memo[g] = p
-    return p
+    if g not in memo:
+        memo[g] = _apply_vertex(g, max_degree_vertex(g), leaf, cap, memo)
+    return memo[g]
 
 
-def _apply_vertex(g: Graph, u: int, leaf: int, cap: int | None, memo: dict | None) -> DomPoly:
+def _apply_vertex(g: Graph, u: int, leaf: int, cap: int | None, memo: dict) -> DomPoly:
     contracted = _eval(g.contract_vertex(u), leaf, cap, memo)
     deleted = _eval(g.delete_vertices([u]), leaf, cap, memo)
     closed_deleted = _eval(g.delete_closed_neighborhood(u), leaf, cap, memo)
@@ -68,7 +66,7 @@ def vertex_recurrence(
         u = max_degree_vertex(g)
     else:
         g._check_vertex(u)
-    return _apply_vertex(g, u, leaf_threshold, cap, memo)
+    return _apply_vertex(g, u, leaf_threshold, cap, {} if memo is None else memo)
 
 
 def edge_recurrence_bracket(
@@ -84,6 +82,7 @@ def edge_recurrence_bracket(
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u},{v}) not present")
     ge = g.delete_edge(u, v)
+    memo = {} if memo is None else memo
 
     def ev(h: Graph) -> DomPoly:
         return _eval(h, leaf_threshold, cap, memo)
@@ -130,6 +129,7 @@ def components_product(
 ) -> DomPoly:
     """D(G,x) as the product over connected components (empty product = 1)."""
     result = DomPoly.one()
+    memo = {} if memo is None else memo
     for comp in connected_components(g):
         result = result * _eval(g.induced(comp), leaf_threshold, cap, memo)
     return result

@@ -4,12 +4,13 @@ A chain family is one block repeated n times (_BLOCKS: a width and the block's
 edges in local labels, cut vertices at local 0 and width); block k puts local
 i at vertex width*k + i, so the free terminal is vertex width*n.  T chains
 triangles, Q (para) squares cut at opposite corners, O (ortho) squares cut at
-adjacent corners.  An attachment kind is one edge list (_GADGETS) in local
-labels: 0 is the vertex it attaches at, i >= 1 the i-th new vertex.  Each
-gadget family attaches its adopted kind at the terminal: X+e a pendant vertex,
-Xtri a triangle, X2 a pendant path of length 2, Qp two pendant vertices, Op a
-diamond (K4 minus an edge) sharing a degree-3 vertex.  Graphs, vertex counts
-and terminals are all read from these two tables.
+adjacent corners.  An attachment kind is one small graph (_GADGETS) whose
+vertex 0 is coalesced with the vertex it attaches at, so its i >= 1 become
+new vertices in order.  Each gadget family attaches its adopted kind at the
+terminal: X+e a pendant vertex, Xtri a triangle, X2 a pendant path of length
+2, Qp two pendant vertices, Op a diamond (K4 minus an edge) sharing a
+degree-3 vertex.  Graphs, vertex counts and terminals are all read from
+these two tables.
 
 The X2/Qp/Op shapes are fixed by oracle arbitration of the published
 identities, not by the stated one-line descriptions: the two-pendant star
@@ -23,12 +24,12 @@ IDENTITIES.  One bottom-up pass over a system's streams serves every
 polynomial view here and the closed-stream checks in verify.py; a
 literal-paper variant is an entry with adopted=False that carries its erratum.
 
-The pass runs on packed integers (Kronecker substitution, packed once per
-pass): each stream value D(X_k, x) is held as the int D(X_k, 2^B).  B is
-fixed per pass by _digit_bits: the largest stream order `top` at the pass's
-last n, plus bit_length of the largest identity weight (Identity.weight, the
-sum over groups of ||multiplier||_1 times the group's refs), plus 2, rounded
-up to whole bytes.  Evaluation at 2^B is a ring homomorphism, so Identity.rhs
+The pass runs on packed integers (Kronecker substitution): each stream value
+D(X_k, x) is held as the int D(X_k, 2^B), and a base packs as its
+eval_at(2^B).  B is fixed per pass by _digit_bits: the largest stream order
+`top` at the pass's last n, plus bit_length of the largest identity weight
+(Identity.weight, the sum over groups of ||multiplier||_1 times the group's
+refs), plus 2, rounded up to whole bytes.  Evaluation at 2^B is a ring homomorphism, so Identity.rhs
 applies a multiplier power by power of x, a small-integer combination of the
 group sums per power joined by `<< B` Horner steps, never as one big
 product; B = 0 evaluates at x = 1.  Only the values handed out are unpacked.
@@ -40,8 +41,10 @@ its coefficients in [0, 2^(top+1)), so a right-hand side has every
 coefficient below weight * 2^(top+1) <= 2^(B-1) in magnitude and its digits
 are exactly its coefficients.  Acceptance therefore holds iff _validated
 holds and no coefficient reaches 2^(top+1), which no domination polynomial
-does (d(G,k) <= 2^order).  A refused value is unpacked and handed to
-_validated, whose messages are unchanged.
+does (d(G,k) <= 2^order).  Only accepted values are unpacked, so digits are
+read unsigned.  A refused value's identity is evaluated again on DomPoly
+from the window values (all accepted) and handed to _validated, whose
+messages are unchanged.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from . import oracle
-from .graph import Graph
+from .graph import Graph, coalesce
 from .poly import DomPoly
 
 CHAIN_FAMILIES = ("T", "Q", "O")
@@ -72,14 +75,14 @@ _BLOCKS = {
     "O": (3, ((0, 3), (0, 1), (1, 2), (2, 3))),
 }
 
-# kind -> edges in local labels (0: the attachment vertex, i >= 1: new vertices)
-_GADGETS = {
+# kind -> gadget graph (0: the attachment vertex, i >= 1: new vertices)
+_GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, edges in {
     "pendant": ((0, 1),),
     "triangle": ((0, 1), (1, 2), (2, 0)),
     "pendant_path": ((0, 1), (1, 2)),
     "two_pendants": ((0, 1), (0, 2)),
     "diamond": ((0, 1), (1, 2), (2, 0), (0, 3), (2, 3)),  # 0 and 2: the degree-3 pair
-}
+}.items()}
 
 # adopted by oracle arbitration; see module docstring and the errata below
 ADOPTED_ATTACHMENT = {
@@ -142,7 +145,7 @@ def family_order(family: str, n: int, attachment: str | None = None) -> int:
     order = _BLOCKS[family[0]][0] * n + 1
     if family in CHAIN_FAMILIES:
         return order
-    return order + max(map(max, _GADGETS[attachment or ADOPTED_ATTACHMENT[family]]))
+    return order + _GADGETS[attachment or ADOPTED_ATTACHMENT[family]].n - 1
 
 
 def terminal_vertex(family: str, n: int) -> int:
@@ -152,18 +155,17 @@ def terminal_vertex(family: str, n: int) -> int:
 
 def attach_gadget(g: Graph, v: int, kind: str) -> Graph:
     """Attach the named structure at vertex v (new vertices labeled upward)."""
-    g._check_vertex(v)
     if kind not in _GADGETS:
         raise ValueError(f"unknown attachment kind {kind!r}")
-    # local 0 is v, local i >= 1 is new vertex g.n + i - 1
-    new = [tuple(g.n + i - 1 if i else v for i in edge) for edge in _GADGETS[kind]]
-    return Graph.from_edges(max(map(max, new)) + 1, [*g.edges(), *new])
+    return coalesce(g, v, _GADGETS[kind], 0)
 
 
 def build_chain(family: str, n: int, attachment: str | None = None) -> Graph:
     """Build a chain or gadget graph; `attachment` overrides the adopted shape."""
     _check_n(family, n)
     width, block = _BLOCKS[family[0]]
+    # equal to coalescing n blocks end to end (local width onto the next local 0),
+    # but one pass over the edges instead of a copy per block
     chain = Graph.from_edges(
         width * n + 1, [(width * k + a, width * k + b) for k in range(n) for a, b in block])
     if family in CHAIN_FAMILIES:
@@ -407,28 +409,12 @@ class _Packing:
         self._bad = int.from_bytes(
             ((1 << bits) - (2 << top)).to_bytes(bits // 8, "little") * (top + 1), "little")
 
-    def pack(self, p: DomPoly) -> int:
-        """D(p, 2^bits) of a polynomial whose coefficients lie in [0, 2^bits)."""
-        width = self.bits // 8
-        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in p.coeffs), "little")
-
     def unpack(self, v: int) -> DomPoly:
-        """The polynomial p with D(p, 2^bits) = v and every |coefficient| < 2^(bits-1).
-
-        Digits are read as byte slices; a digit at or above 2^(bits-1) stands
-        for a negative coefficient that borrowed from the next digit.
-        """
-        bits, width = self.bits, self.bits // 8
-        raw = abs(v).to_bytes((abs(v).bit_length() // bits + 2) * width, "little")
-        digits = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-        half = 1 << (bits - 1)
-        if max(digits) >= half:
-            carry = 0
-            for i, d in enumerate(digits):
-                d += carry
-                carry = int(d >= half)
-                digits[i] = d - (carry << bits)
-        return DomPoly(digits if v >= 0 else [-d for d in digits])
+        """The polynomial whose coefficients are the B-bit digits of v >= 0, read as byte slices."""
+        width = self.bits // 8
+        raw = v.to_bytes((v.bit_length() // self.bits + 1) * width, "little")
+        return DomPoly([int.from_bytes(raw[i:i + width], "little")
+                        for i in range(0, len(raw), width)])
 
     def accepts(self, v: int, order: int) -> bool:
         """Whether v, read as digits, has digit `order` one and none above (so v > 0),
@@ -466,14 +452,15 @@ def _stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
             if k >= rule.start:
                 v = rule.rhs(k, value, packing.bits)
                 if not packing.accepts(v, order):
-                    _reject(packing.unpack(v), order, name)
+                    # the same identity on DomPoly, over window values that were all accepted
+                    _reject(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])), order, name)
             else:
                 p = _BASES[s][k]
                 if p is None:
                     p = oracle.domination_polynomial(build_chain(s, k))
                 if max(_validated(p, order, name).coeffs) >> (packing.top + 1):
                     _reject(p, order, name)
-                v = packing.pack(p)
+                v = p.eval_at(1 << packing.bits)
             cur[s] = v
         if k >= lo:
             yield k, {s: packing.unpack(cur[s]) for s in streams}

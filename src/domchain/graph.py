@@ -61,11 +61,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                b = m & -m
-                yield u, b.bit_length() - 1
-                m ^= b
+            for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
+                yield u, v
 
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
@@ -121,11 +118,7 @@ class Graph:
 
     def append_pendant(self, v: int) -> "Graph":
         """Add a new degree-1 vertex (label n) adjacent only to v."""
-        self._check_vertex(v)
-        adj = list(self.adj)
-        adj[v] |= 1 << self.n
-        adj.append(1 << v)
-        return Graph(self.n + 1, tuple(adj))
+        return coalesce(self, v, path_graph(2), 0)
 
     # -- value semantics ------------------------------------------------------
 
@@ -154,22 +147,14 @@ def coalesce(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     """
     g1._check_vertex(v1)
     g2._check_vertex(v2)
-    n = g1.n + g2.n - 1
     # g2 vertex w != v2 maps to g1.n + rank of w among non-v2 vertices
-    remap = {}
-    r = 0
-    for w in range(g2.n):
-        if w == v2:
-            remap[w] = v1
-        else:
-            remap[w] = g1.n + r
-            r += 1
+    label = [v1 if w == v2 else g1.n + w - (w > v2) for w in range(g2.n)]
     adj = list(g1.adj) + [0] * (g2.n - 1)
     for a, b in g2.edges():
-        u, v = remap[a], remap[b]
+        u, v = label[a], label[b]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(g1.n + g2.n - 1, tuple(adj))
 
 
 def connected_components(g: Graph) -> list[list[int]]:

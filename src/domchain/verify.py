@@ -11,6 +11,8 @@ content, not failures, and their entries carry the errata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
+from typing import Callable
 
 from . import families, oracle
 from .families import Erratum
@@ -103,49 +105,53 @@ class VerificationReport:
         }
 
 
-class _OracleCache:
-    """Oracle polynomials of family members, keyed by (family, n, attachment)."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._polys: dict[tuple, DomPoly] = {}
-
-    def poly(self, family: str, n: int, attachment: str | None = None) -> DomPoly:
-        key = (family, n, attachment)
-        if key not in self._polys:
-            g = families.build_chain(family, n, attachment=attachment)
-            self._polys[key] = oracle.domination_polynomial(g, cap=self.cap)
-        return self._polys[key]
-
-
 def verify_families(
     max_n: int = 6,
     family_subset: tuple[str, ...] | None = None,
     include_literal: bool = False,
     cap: int | None = None,
 ) -> VerificationReport:
-    """Check every chain identity against the oracle for all n within the cap."""
+    """Check every chain identity against the oracle for all n within the cap.
+
+    Raises ValueError for max_n < 1 and EnumerationCapError when a selected
+    family's n = 1 graphs do not all fit the cap, so no run passes with no checks.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n >= 1 required, got {max_n}")
     fams = tuple(family_subset) if family_subset else families.CHAIN_FAMILIES
+    cap = oracle.DEFAULT_CAP if cap is None else cap
+
+    def largest(fam: str, n: int) -> int:
+        """Vertex count of the largest graph in the family's table at n."""
+        return max(families.family_order(e.lhs, n, e.subject) for e in families.IDENTITIES[fam])
+
     for f in fams:
         if f not in families.CHAIN_FAMILIES:
             raise ValueError(f"unknown family {f!r}; expected T, Q, or O")
-    c = _OracleCache(oracle.DEFAULT_CAP if cap is None else cap)
+        if largest(f, 1) > cap:
+            raise oracle.EnumerationCapError(largest(f, 1), cap)
+
+    @cache
+    def poly(family: str, n: int, attachment: str | None) -> DomPoly:
+        return oracle.domination_polynomial(
+            families.build_chain(family, n, attachment=attachment), cap=cap)
+
     report = VerificationReport(max_n=max_n, families=fams)
     for fam in families.CHAIN_FAMILIES:
         if fam not in fams:
             continue
         table = families.IDENTITIES[fam]
-        top = 0  # the largest n whose graphs all fit the cap
-        while top < max_n and all(
-                families.family_order(e.lhs, top + 1, e.subject) <= c.cap for e in table):
+        top = 1  # the largest n whose graphs all fit the cap
+        while top < max_n and largest(fam, top + 1) <= cap:
             top += 1
         for n in range(1, top + 1):
             for e in table:
                 if n >= e.start and (e.adopted or include_literal):
                     report.checks.append(IdentityCheck(
-                        fam, n, e.label, e.rhs(n, c.poly), c.poly(e.lhs, n, e.subject), e.adopted,
+                        fam, n, e.label, e.rhs(n, lambda s, k: poly(s, k, None)),
+                        poly(e.lhs, n, e.subject), e.adopted,
                     ))
-        report.checks.extend(_closed_checks(fam, top, c))
+        report.checks.extend(_closed_checks(fam, top, poly))
         # listed by identity name within each family
         for err in sorted((e.erratum for e in table if e.erratum), key=lambda err: err.identity):
             report.errata.append(
@@ -154,14 +160,14 @@ def verify_families(
     return report
 
 
-def _closed_checks(fam: str, top: int, c: _OracleCache):
+def _closed_checks(fam: str, top: int, poly: Callable[[str, int, str | None], DomPoly]):
     """The recurrence-built streams themselves against the oracle, n = 1..top, in one pass."""
     counts = families.t_count_sequence(top) if fam == "T" else None
     for n, values in families._stream_values(fam, 1, top, families.STREAMS[fam]):
         for s, p in values.items():
             label = ("d(T_n,k) coefficient-table recurrence" if s == "T"
                      else f"closed {s} stream vs oracle")
-            yield IdentityCheck(fam, n, label, p, c.poly(s, n))
+            yield IdentityCheck(fam, n, label, p, poly(s, n, None))
         if fam == "T":
             yield IdentityCheck("T", n, "t_n = 3t_{n-1} + 2t_{n-2} total-count recurrence",
-                                DomPoly((counts[n],)), DomPoly((c.poly("T", n).eval_at(1),)))
+                                DomPoly((counts[n],)), DomPoly((poly("T", n, None).eval_at(1),)))

@@ -244,11 +244,40 @@ class TestInputBounds:
     @pytest.mark.parametrize("cap", ["-1", "31"])
     @pytest.mark.parametrize("argv", [
         ("compute", "--family", "T", "--n", "1"), ("verify",), ("bench",),
-        ("sequence", "--family", "T"),
     ], ids=" ".join)
     def test_cap_outside_hard_limits(self, capsys, argv, cap):
         code, out, err = run(capsys, *argv, "--cap", cap)
         assert code == 1 and out == "" and "0..30" in err
+
+    def test_sequence_takes_no_cap(self, capsys):
+        # sequence never enumerates, so it has no --cap flag
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["sequence", "--family", "T", "--cap", "5"])
+        assert ei.value.code == 1
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_verify_needs_positive_max_n(self, capsys, monkeypatch, max_n):
+        monkeypatch.setattr(families, "build_chain", self._no_build)
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert (code, out, err) == (1, "", f"domchain: error: max_n >= 1 required, got {max_n}\n")
+
+    @pytest.mark.parametrize("argv", [("--family", "Q"), ()], ids=" ".join)
+    def test_verify_family_past_cap_at_first_n(self, capsys, monkeypatch, argv):
+        # Q_1's table graphs have up to 6 vertices; with every family selected T
+        # would fit, but Q still refuses the run before anything is built
+        monkeypatch.setattr(families, "build_chain", self._no_build)
+        code, out, err = run(capsys, "verify", *argv, "--cap", "5")
+        assert (code, out, err) == (3, "", "domchain: graph has 6 vertices, enumeration cap is 5\n")
+
+    def test_verify_first_n_at_cap_still_checks(self, capsys):
+        # T_1 has 3 vertices: at cap 3 its closed-stream checks run
+        code, out, _ = run(capsys, "verify", "--family", "T", "--cap", "3")
+        assert code == 0 and out.endswith("adopted checks: 2/2 match; overall: ALL MATCH\n")
+
+    @staticmethod
+    def _no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
 
     def test_oracle_cap_checked_before_building(self, capsys, monkeypatch):
         def no_build(*args, **kwargs):

@@ -96,6 +96,21 @@ class TestMemo:
         assert first == second == oracle.domination_polynomial(g)
         assert len(memo) == size
 
+    @pytest.mark.parametrize("evaluate", [
+        decompose.vertex_recurrence, decompose.edge_recurrence, decompose.components_product])
+    def test_calls_without_memo_are_memoized(self, monkeypatch, evaluate):
+        # a cycle's recursion meets the same paths again and again
+        g = cycle_graph(14)
+        calls = []
+        restricted = oracle.restricted_polynomial
+        monkeypatch.setattr(oracle, "restricted_polynomial",
+                            lambda *a, **kw: calls.append(1) or restricted(*a, **kw))
+        without = evaluate(g, leaf_threshold=6)
+        n_without = len(calls)
+        calls.clear()
+        assert evaluate(g, leaf_threshold=6, memo={}) == without
+        assert n_without == len(calls) > 0
+
 
 class TestCapOnEnumeratedSet:
     """The cap bounds the sets the oracle enumerates, not the input graph."""
