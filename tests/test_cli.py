@@ -280,10 +280,7 @@ class TestInputBounds:
         raise AssertionError("a graph was built")
 
     def test_oracle_cap_checked_before_building(self, capsys, monkeypatch):
-        def no_build(*args, **kwargs):
-            raise AssertionError("a graph was built")
-
-        monkeypatch.setattr(families, "build_chain", no_build)
+        monkeypatch.setattr(families, "build_chain", self._no_build)
         # Q_5..Q_7 fit cap 24; Q_8 (25 vertices) is the first that does not
         code, out, err = run(capsys, "compute", "--family", "Q", "--n-range", "5:9")
         assert (code, out, err) == (3, "", "domchain: graph has 25 vertices, enumeration cap is 24\n")

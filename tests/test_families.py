@@ -1,6 +1,6 @@
 import pytest
 
-from domchain import families, oracle
+from domchain import families, oracle, verify
 from domchain.families import (
     CHAIN_FAMILIES,
     FAMILY_NAMES,
@@ -218,3 +218,16 @@ class TestStreamValidation:
         for n in range(1, 6):
             for p in (q_polynomial(n), o_polynomial(n)):
                 assert p.degree == 3 * n + 1 and p[p.degree] == 1 and p[0] == 0
+
+
+def test_verify_scans_each_graph_once(monkeypatch):
+    # identity terms and closed-stream checks ask for the same adopted graphs;
+    # the oracle cache must serve every repeat without building and scanning again
+    built = []
+    build = families.build_chain
+    monkeypatch.setattr(families, "build_chain",
+                        lambda f, n, attachment=None: built.append((f, n, attachment))
+                        or build(f, n, attachment))
+    report = verify.verify_families(max_n=4, include_literal=True)
+    assert report.all_match and built
+    assert len(built) == len(set(built))
