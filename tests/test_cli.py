@@ -285,6 +285,12 @@ class TestInputBounds:
         code, out, err = run(capsys, "compute", "--family", "Q", "--n-range", "5:9")
         assert (code, out, err) == (3, "", "domchain: graph has 25 vertices, enumeration cap is 24\n")
 
+    def test_range_start_checked_before_cap(self, capsys, monkeypatch):
+        # Q_30 is past the cap, but n = -1 is no Q graph at all, and that is reported first
+        monkeypatch.setattr(families, "build_chain", self._no_build)
+        code, out, err = run(capsys, "compute", "--family", "Q", "--n-range=-1:30")
+        assert (code, out, err) == (1, "", "domchain: error: family Q graphs start at n = 0, got -1\n")
+
     @pytest.mark.parametrize("method", ["vertex", "edge", "product"])
     def test_deep_recursion_is_input_error(self, method):
         # compute --family T --n 400 (801 vertices) takes seconds to exhaust the
