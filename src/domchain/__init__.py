@@ -39,9 +39,7 @@ from .families import (
     CHAIN_FAMILIES,
     FAMILY_NAMES,
     GADGET_FAMILIES,
-    CoupledState,
     Erratum,
-    FamilySpec,
     RecurrenceConfigError,
     attach_gadget,
     build_chain,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHAIN_FAMILIES",
-    "CoupledState",
     "DEFAULT_CAP",
     "DomPoly",
     "EdgeListParseError",
@@ -73,7 +70,6 @@ __all__ = [
     "Erratum",
     "ExactDivisionError",
     "FAMILY_NAMES",
-    "FamilySpec",
     "GADGET_FAMILIES",
     "Graph",
     "HARD_CAP",

@@ -22,10 +22,6 @@ EXIT_MISMATCH = 2
 EXIT_CAP = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; 2 is reserved for verification
     # mismatches here, so route usage errors to exit code 1
@@ -40,26 +36,17 @@ def _parse_range(text: str) -> range:
         a, b = text.split(":")
         lo, hi = int(a), int(b)
     except ValueError:
-        raise UsageError(f"expected range 'A:B', got {text!r}")
+        raise ValueError(f"expected range 'A:B', got {text!r}") from None
     if lo > hi:
-        raise UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
-
-
-def _check_cap(cap: int | None) -> int:
-    """The enumeration cap to use; --cap must lie in 0..HARD_CAP."""
-    if cap is None:
-        return oracle.DEFAULT_CAP
-    if not 0 <= cap <= oracle.HARD_CAP:
-        raise UsageError(f"--cap {cap} is outside the hard safety limits 0..{oracle.HARD_CAP}")
-    return cap
 
 
 def _check_size(family: str, n: int) -> None:
     """Refuse a family member larger than an edge-list input may be, before any work."""
     order = families.family_order(family, n)
     if order > MAX_EDGE_LIST_VERTICES:
-        raise UsageError(f"family {family} at n={n} has {order} vertices, "
+        raise ValueError(f"family {family} at n={n} has {order} vertices, "
                          f"limit is {MAX_EDGE_LIST_VERTICES}")
 
 
@@ -82,7 +69,7 @@ def _compute_one(method, g, cap):
         return evaluate(g, cap=cap)
     except RecursionError:
         # the recursion removes about one vertex per level, so its depth grows with g.n
-        raise UsageError(f"--method {method} recursed past Python's recursion limit on "
+        raise ValueError(f"--method {method} recursed past Python's recursion limit on "
                          f"{g.n} vertices; use --method oracle or recurrence") from None
 
 
@@ -98,28 +85,29 @@ def _record(family: str | None, n: int, p: DomPoly) -> dict:
 
 
 def cmd_compute(args) -> int:
-    cap = _check_cap(args.cap)
+    cap = oracle.check_cap(args.cap)
     if args.file is not None:
         if args.family is not None:
-            raise UsageError("--file and --family are mutually exclusive")
+            raise ValueError("--file and --family are mutually exclusive")
         if args.method == "recurrence":
-            raise UsageError("--method recurrence requires a --family input")
+            raise ValueError("--method recurrence requires a --family input")
         with open(args.file) as f:
             g = parse_edge_list(f.read())
         results = [(g.n, _compute_one(args.method, g, cap))]
     else:
         if args.family is None:
-            raise UsageError("one of --family or --file is required")
+            raise ValueError("one of --family or --file is required")
         if args.n is None and args.n_range is None:
-            raise UsageError("one of --n or --n-range is required with --family")
+            raise ValueError("one of --n or --n-range is required with --family")
         ns = range(args.n, args.n + 1) if args.n is not None else _parse_range(args.n_range)
         _check_size(args.family, ns[-1])
         if args.method == "recurrence":
             polys = families.family_polynomials(args.family, ns[0], ns[-1])
         else:
             if args.method == "oracle":
+                families.check_n(args.family, ns[0])
                 for n in ns:
-                    order = families.FamilySpec(args.family, n).order()
+                    order = families.family_order(args.family, n)
                     if order > cap:
                         raise oracle.EnumerationCapError(order, cap)
             polys = [_compute_one(args.method, families.build_chain(args.family, n), cap)
@@ -149,13 +137,12 @@ def cmd_compute(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    cap = _check_cap(args.cap)
     subset = (args.family,) if args.family else None
-    report = verify.verify_families(
+    report = verify.verify_families(  # checks --cap before anything else
         max_n=args.max_n,
         family_subset=subset,
         include_literal=args.literal_paper,
-        cap=cap,
+        cap=args.cap,
     )
     if args.format == "json":
         out = json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -199,7 +186,7 @@ def cmd_sequence(args) -> int:
 # -- bench ---------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    cap = _check_cap(args.cap)
+    cap = oracle.check_cap(args.cap)
     ns = _parse_range(args.n_range)
     _check_size(args.family, ns[-1])
     buf = io.StringIO()
@@ -285,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.EnumerationCapError as e:
         print(f"domchain: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (UsageError, ValueError, OSError) as e:  # EdgeListParseError is a ValueError
+    except (ValueError, OSError) as e:  # EdgeListParseError is a ValueError
         print(f"domchain: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,8 @@ Product route:  D(G) = product of D over connected components.
 The x/(x-1) factor never leaves the integers: the bracket is divisible by
 (x-1), which is asserted on every call.  These evaluators are exponential in
 the worst case; their job is validation, not speed.  Every call memoizes the
-subgraphs it evaluates by value: in `memo` when given, else in a fresh dict.
+subgraphs it evaluates by value, leaves included: in `memo` when given, else
+in a fresh dict.
 """
 from __future__ import annotations
 
@@ -36,18 +37,18 @@ def _pivot_edge(g: Graph) -> tuple[int, int]:
 
 
 def _eval(g: Graph, leaf: int, cap: int | None, memo: dict) -> DomPoly:
-    if g.n <= leaf:
-        return oracle.domination_polynomial(g, cap=cap)
     if g not in memo:
-        memo[g] = _apply_vertex(g, max_degree_vertex(g), leaf, cap, memo)
+        memo[g] = (oracle.domination_polynomial(g, cap=cap) if g.n <= leaf
+                   else _apply_vertex(g, max_degree_vertex(g), leaf, cap, memo))
     return memo[g]
 
 
 def _apply_vertex(g: Graph, u: int, leaf: int, cap: int | None, memo: dict) -> DomPoly:
+    # p_u first: on a graph too large for it, the cap refuses before any recursion
+    p_u = oracle.restricted_polynomial(g, u, cap=cap)
     contracted = _eval(g.contract_vertex(u), leaf, cap, memo)
     deleted = _eval(g.delete_vertices([u]), leaf, cap, memo)
     closed_deleted = _eval(g.delete_closed_neighborhood(u), leaf, cap, memo)
-    p_u = oracle.restricted_polynomial(g, u, cap=cap)
     return _X * contracted + deleted + _X * closed_deleted - _ONE_PLUS_X * p_u
 
 

@@ -116,26 +116,12 @@ def _first_n(family: str, recurrence: bool = False) -> int:
     return 1 if family == "T" or (recurrence and family in CHAIN_FAMILIES) else 0
 
 
-def _check_n(family: str, n: int, recurrence: bool = False) -> None:
+def check_n(family: str, n: int, recurrence: bool = False) -> None:
+    """Refuse an n below the family's first graph n or, with `recurrence`, recurrence n."""
     low = _first_n(family, recurrence)
     if n < low:
         what = "recurrences" if recurrence else "graphs"
         raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: int
-
-    def __post_init__(self):
-        _check_n(self.family, self.n)
-
-    def build(self) -> Graph:
-        return build_chain(self.family, self.n)
-
-    def order(self) -> int:
-        return family_order(self.family, self.n)
 
 
 # -- constructors ----------------------------------------------------------
@@ -162,7 +148,7 @@ def attach_gadget(g: Graph, v: int, kind: str) -> Graph:
 
 def build_chain(family: str, n: int, attachment: str | None = None) -> Graph:
     """Build a chain or gadget graph; `attachment` overrides the adopted shape."""
-    _check_n(family, n)
+    check_n(family, n)
     width, block = _BLOCKS[family[0]]
     # equal to coalescing n blocks end to end (local width onto the next local 0),
     # but one pass over the edges instead of a copy per block
@@ -355,7 +341,7 @@ IDENTITIES: dict[str, tuple[Identity, ...]] = {
 }
 
 # stated initial conditions below each adopted identity's start n; None marks
-# a one-vertex base the oracle derives from the graph itself
+# a base the oracle derives from the graph itself (X_0 has one vertex, X+e_0 two)
 _BASES = {
     "T": {1: _p("x^3+3x^2+3x"), 2: _p("x^5+5x^4+10x^3+8x^2+x")},
     "Q": {0: None, 1: _p("x^4+4x^3+6x^2"), 2: _p("x^7+7x^6+21x^5+29x^4+15x^3")},
@@ -469,7 +455,7 @@ def _stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
     """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
     for n in (lo, hi):
-        _check_n(family, n, recurrence=True)
+        check_n(family, n, recurrence=True)
     return [v[family] for _, v in _stream_values(family[0], lo, hi, (family,))]
 
 
@@ -503,33 +489,13 @@ def t_count_sequence(n_max: int) -> list[int]:
 
 # -- Q and O chains: coupled streams ------------------------------------------------
 
-_STATE_FIELD = {"": "chain", "+e": "plus_e", "tri": "triangle", "2": "double", "p": "primed"}
+def _states(family: str, n: int) -> list[dict[str, DomPoly]]:
+    check_n(family, n)
+    return [v for _, v in _stream_values(family, 0, n, STREAMS[family])]
 
 
-@dataclass(frozen=True)
-class CoupledState:
-    """Per-index record of the five stream polynomials of a square-chain family."""
-
-    n: int
-    chain: DomPoly       # D(X_n)
-    plus_e: DomPoly      # D(X_n + e)
-    triangle: DomPoly    # D(X_n^tri)
-    double: DomPoly      # D(X_n(2))
-    primed: DomPoly      # D(X_n')
-
-    def value(self, family: str) -> DomPoly:
-        """The polynomial of a Q/O family name, e.g. 'Q+e'."""
-        return getattr(self, _STATE_FIELD[family[1:]])
-
-
-def _states(family: str, n: int) -> list[CoupledState]:
-    _check_n(family, n)
-    return [CoupledState(k, *v.values())
-            for k, v in _stream_values(family, 0, n, STREAMS[family])]
-
-
-def q_stream(n: int) -> list[CoupledState]:
-    """Bottom-up Q-stream states for k = 0..n."""
+def q_stream(n: int) -> list[dict[str, DomPoly]]:
+    """Bottom-up Q-stream values for k = 0..n, each keyed by STREAMS["Q"]."""
     return _states("Q", n)
 
 
@@ -538,8 +504,8 @@ def q_polynomial(n: int) -> DomPoly:
     return family_polynomial("Q", n)
 
 
-def o_stream(n: int) -> list[CoupledState]:
-    """Bottom-up O-stream states for k = 0..n."""
+def o_stream(n: int) -> list[dict[str, DomPoly]]:
+    """Bottom-up O-stream values for k = 0..n, each keyed by STREAMS["O"]."""
     return _states("O", n)
 
 

@@ -41,10 +41,17 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
+def check_cap(cap: int | None) -> int:
+    """The enumeration cap to use: DEFAULT_CAP for None, else `cap` within 0..HARD_CAP."""
+    if cap is None:
+        return DEFAULT_CAP
+    if not 0 <= cap <= HARD_CAP:
+        raise ValueError(f"cap {cap} is outside the hard safety limits 0..{HARD_CAP}")
+    return cap
+
+
 def _check_cap(n: int, cap: int | None) -> None:
-    cap = DEFAULT_CAP if cap is None else cap
-    if cap > HARD_CAP:
-        raise ValueError(f"cap {cap} exceeds hard safety limit {HARD_CAP}")
+    cap = check_cap(cap)
     if n > cap:
         raise EnumerationCapError(n, cap)
 

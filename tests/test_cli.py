@@ -10,6 +10,7 @@ import pytest
 import domchain
 from domchain import cli, families
 from domchain.families import FAMILY_NAMES, t_polynomial
+from domchain.graph import complete_graph, format_edge_list
 
 
 def run(capsys, *argv):
@@ -292,10 +293,13 @@ class TestInputBounds:
         assert (code, out, err) == (1, "", "domchain: error: family Q graphs start at n = 0, got -1\n")
 
     @pytest.mark.parametrize("method", ["vertex", "edge", "product"])
-    def test_deep_recursion_is_input_error(self, method):
-        # compute --family T --n 400 (801 vertices) takes seconds to exhaust the
-        # default recursion limit; a lowered limit reaches the same error on T_100
-        argv = ["compute", "--family", "T", "--n", "100", "--method", method]
+    def test_deep_recursion_is_input_error(self, method, tmp_path):
+        # a near-complete graph recurses one level per vertex without reaching the
+        # cap: K_600 takes seconds to exhaust the default recursion limit, and a
+        # lowered limit reaches the same error on K_140
+        path = tmp_path / "k140.edges"
+        path.write_text(format_edge_list(complete_graph(140)))
+        argv = ["compute", "--file", str(path), "--method", method]
         code = ("import sys; sys.setrecursionlimit(250); from domchain.cli import main; "
                 f"sys.exit(main({argv!r}))")
         src = os.path.dirname(os.path.dirname(domchain.__file__))
@@ -306,4 +310,4 @@ class TestInputBounds:
         assert r.returncode == 1 and r.stdout == ""
         assert "Traceback" not in r.stderr
         assert r.stderr == (f"domchain: error: --method {method} recursed past Python's "
-                            "recursion limit on 201 vertices; use --method oracle or recurrence\n")
+                            "recursion limit on 140 vertices; use --method oracle or recurrence\n")

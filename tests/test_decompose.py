@@ -111,6 +111,16 @@ class TestMemo:
         assert evaluate(g, leaf_threshold=6, memo={}) == without
         assert n_without == len(calls) > 0
 
+    def test_no_leaf_is_scanned_twice(self, monkeypatch):
+        g = cycle_graph(14)
+        want = oracle.domination_polynomial(g)
+        scanned = []
+        scan = oracle.domination_polynomial
+        monkeypatch.setattr(oracle, "domination_polynomial",
+                            lambda h, **kw: scanned.append(h) or scan(h, **kw))
+        assert decompose.vertex_recurrence(g, leaf_threshold=6) == want
+        assert scanned and len(scanned) == len(set(scanned))
+
 
 class TestCapOnEnumeratedSet:
     """The cap bounds the sets the oracle enumerates, not the input graph."""
@@ -121,6 +131,17 @@ class TestCapOnEnumeratedSet:
         want = t_polynomial(6)
         assert decompose.edge_recurrence(g, cap=12) == want
         assert decompose.vertex_recurrence(g, cap=12) == want
+
+    @pytest.mark.parametrize("evaluate", [
+        decompose.vertex_recurrence, decompose.edge_recurrence, decompose.components_product])
+    def test_cap_refuses_before_any_leaf(self, monkeypatch, evaluate):
+        # T_100 has 201 vertices: p_u at the first pivot is past the cap
+        def no_leaf(*args, **kwargs):
+            raise AssertionError("a leaf was scanned")
+
+        monkeypatch.setattr(oracle, "domination_polynomial", no_leaf)
+        with pytest.raises(oracle.EnumerationCapError):
+            evaluate(triangle_chain(100))
 
     def test_oracle_leaf_still_capped(self):
         with pytest.raises(oracle.EnumerationCapError):

@@ -5,7 +5,6 @@ from domchain.families import (
     CHAIN_FAMILIES,
     FAMILY_NAMES,
     IDENTITIES,
-    FamilySpec,
     RecurrenceConfigError,
     attach_gadget,
     build_chain,
@@ -68,12 +67,12 @@ class TestConstructors:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            FamilySpec("T", 0)
+            build_chain("T", 0)
         with pytest.raises(ValueError):
-            FamilySpec("Z", 1)
+            build_chain("Z", 1)
         with pytest.raises(ValueError):
             build_chain("Q", 1, attachment="pendant")
-        assert FamilySpec("Q+e", 0).build().n == 2
+        assert build_chain("Q+e", 0).n == 2
 
     def test_plain_chains_take_no_attachment(self):
         for fam in CHAIN_FAMILIES:
@@ -89,7 +88,7 @@ class TestConstructors:
     @pytest.mark.parametrize("fam", FAMILY_NAMES)
     def test_first_valid_n(self, fam):
         graph_lo = 1 if fam == "T" else 0
-        assert FamilySpec(fam, graph_lo).build().n == family_order(fam, graph_lo)
+        assert build_chain(fam, graph_lo).n == family_order(fam, graph_lo)
         with pytest.raises(ValueError, match=f"graphs start at n = {graph_lo}, got"):
             build_chain(fam, graph_lo - 1)
         rec_lo = 1 if fam in CHAIN_FAMILIES else 0
@@ -172,7 +171,7 @@ class TestSquareChains:
             assert adopted.rhs(n, poly) == poly("Qp", n)
             assert literal.rhs(n, poly) != poly("Qp", n)
             # the streams are driven by the adopted -x form only
-            assert literal.rhs(n, lambda s, k: states[k].value(s)) != states[n].primed
+            assert literal.rhs(n, lambda s, k: states[k][s]) != states[n]["Qp"]
 
     @pytest.mark.parametrize("fam", ("T", "Q", "O"))
     def test_each_stream_has_one_adopted_identity(self, fam):
@@ -182,9 +181,13 @@ class TestSquareChains:
 
     def test_stream_states_are_indexed(self):
         states = q_stream(3)
-        assert [s.n for s in states] == [0, 1, 2, 3]
-        assert states[3].chain == q_polynomial(3)
-        assert o_stream(2)[2].chain == o_polynomial(2)
+        assert len(states) == 4
+        assert states[3]["Q"] == q_polynomial(3)
+        assert o_stream(2)[2]["O"] == o_polynomial(2)
+
+    def test_stream_records_are_keyed_by_stream_name(self):
+        for record in q_stream(3):
+            assert tuple(record.keys()) == families.STREAMS["Q"]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -231,3 +234,13 @@ def test_verify_scans_each_graph_once(monkeypatch):
     report = verify.verify_families(max_n=4, include_literal=True)
     assert report.all_match and built
     assert len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("cap", [-1, 31])
+def test_verify_refuses_cap_before_building(monkeypatch, cap):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(families, "build_chain", no_build)
+    with pytest.raises(ValueError, match=f"cap {cap} is outside the hard safety limits 0..30"):
+        verify.verify_families(cap=cap)

@@ -60,6 +60,8 @@ class TestCap:
         g = path_graph(3)
         with pytest.raises(ValueError):
             oracle.domination_polynomial(g, cap=31)
+        with pytest.raises(ValueError, match="cap -1 is outside the hard safety limits 0..30"):
+            oracle.domination_polynomial(g, cap=-1)
 
     def test_default_cap_allows_24(self):
         assert oracle.DEFAULT_CAP == 24 and oracle.HARD_CAP == 30
