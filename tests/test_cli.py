@@ -295,7 +295,7 @@ class TestInputBounds:
     @pytest.mark.parametrize("method", ["vertex", "edge", "product"])
     def test_deep_recursion_is_input_error(self, method, tmp_path):
         # a near-complete graph recurses one level per vertex without reaching the
-        # cap: K_600 takes seconds to exhaust the default recursion limit, and a
+        # cap: K_600 takes about 30 s to exhaust the default recursion limit, and a
         # lowered limit reaches the same error on K_140
         path = tmp_path / "k140.edges"
         path.write_text(format_edge_list(complete_graph(140)))
