@@ -9,14 +9,21 @@ The x/(x-1) factor never leaves the integers: the bracket is divisible by
 the worst case; their job is validation, not speed.  Every call memoizes the
 subgraphs it evaluates by value, leaves included: in `memo` when given, else
 in a fresh dict.
+
+Graphs of at most LEAF_ORDER vertices go to the oracle.  Each vertex step above
+it removes a vertex and costs two stack frames, so a graph of more than
+(sys.getrecursionlimit() - 40) // 2 + LEAF_ORDER vertices (490 at the default
+limit; 40 frames stay for the caller and the leaf) is refused before it recurses.
 """
 from __future__ import annotations
+
+import sys
 
 from . import oracle
 from .graph import Graph, connected_components
 from .poly import DomPoly
 
-DEFAULT_LEAF_THRESHOLD = 10
+LEAF_ORDER = 10  # read at call time, so tests may patch it
 
 _X = DomPoly.x()
 _ONE_PLUS_X = DomPoly((1, 1))
@@ -28,27 +35,29 @@ def max_degree_vertex(g: Graph) -> int:
 
 
 def _pivot_edge(g: Graph) -> tuple[int, int]:
-    u = max_degree_vertex(g)
-    nbrs = g.neighbors(u)
-    if not nbrs:
+    if not g.edge_count():
         raise ValueError("graph has no edges")
-    v = max(nbrs, key=lambda w: (g.degree(w), -w))
+    u = max_degree_vertex(g)
+    v = max(g.neighbors(u), key=lambda w: (g.degree(w), -w))
     return u, v
 
 
-def _eval(g: Graph, leaf: int, cap: int | None, memo: dict) -> DomPoly:
+def _eval(g: Graph, cap: int | None, memo: dict) -> DomPoly:
     if g not in memo:
-        memo[g] = (oracle.domination_polynomial(g, cap=cap) if g.n <= leaf
-                   else _apply_vertex(g, max_degree_vertex(g), leaf, cap, memo))
+        memo[g] = (oracle.domination_polynomial(g, cap=cap) if g.n <= LEAF_ORDER
+                   else _apply_vertex(g, max_degree_vertex(g), cap, memo))
     return memo[g]
 
 
-def _apply_vertex(g: Graph, u: int, leaf: int, cap: int | None, memo: dict) -> DomPoly:
+def _apply_vertex(g: Graph, u: int, cap: int | None, memo: dict) -> DomPoly:
     # p_u first: on a graph too large for it, the cap refuses before any recursion
     p_u = oracle.restricted_polynomial(g, u, cap=cap)
-    contracted = _eval(g.contract_vertex(u), leaf, cap, memo)
-    deleted = _eval(g.delete_vertices([u]), leaf, cap, memo)
-    closed_deleted = _eval(g.delete_closed_neighborhood(u), leaf, cap, memo)
+    bound = (sys.getrecursionlimit() - 40) // 2 + LEAF_ORDER  # see the module docstring
+    if g.n > bound:
+        raise ValueError(f"graph has {g.n} vertices, the general recurrences take at most {bound}")
+    contracted = _eval(g.contract_vertex(u), cap, memo)
+    deleted = _eval(g.delete_vertices([u]), cap, memo)
+    closed_deleted = _eval(g.delete_closed_neighborhood(u), cap, memo)
     return _X * contracted + deleted + _X * closed_deleted - _ONE_PLUS_X * p_u
 
 
@@ -56,7 +65,6 @@ def vertex_recurrence(
     g: Graph,
     u: int | None = None,
     *,
-    leaf_threshold: int = DEFAULT_LEAF_THRESHOLD,
     cap: int | None = None,
     memo: dict | None = None,
 ) -> DomPoly:
@@ -67,7 +75,7 @@ def vertex_recurrence(
         u = max_degree_vertex(g)
     else:
         g._check_vertex(u)
-    return _apply_vertex(g, u, leaf_threshold, cap, {} if memo is None else memo)
+    return _apply_vertex(g, u, cap, {} if memo is None else memo)
 
 
 def edge_recurrence_bracket(
@@ -75,7 +83,6 @@ def edge_recurrence_bracket(
     u: int,
     v: int,
     *,
-    leaf_threshold: int = DEFAULT_LEAF_THRESHOLD,
     cap: int | None = None,
     memo: dict | None = None,
 ) -> tuple[DomPoly, DomPoly]:
@@ -86,8 +93,9 @@ def edge_recurrence_bracket(
     memo = {} if memo is None else memo
 
     def ev(h: Graph) -> DomPoly:
-        return _eval(h, leaf_threshold, cap, memo)
+        return _eval(h, cap, memo)
 
+    minus_e = ev(ge)  # the largest of the nine graphs: cap and depth bound refuse it first
     s = (
         ev(ge.contract_vertex(u))
         + ev(ge.contract_vertex(v))
@@ -98,7 +106,7 @@ def edge_recurrence_bracket(
         + ev(ge.delete_closed_neighborhood(u))
         + ev(ge.delete_closed_neighborhood(v))
     )
-    return ev(ge), s
+    return minus_e, s
 
 
 def edge_recurrence(
@@ -106,16 +114,13 @@ def edge_recurrence(
     u: int | None = None,
     v: int | None = None,
     *,
-    leaf_threshold: int = DEFAULT_LEAF_THRESHOLD,
     cap: int | None = None,
     memo: dict | None = None,
 ) -> DomPoly:
     """D(G,x) via the edge identity at e={u,v} (default: edge at the pivot vertex)."""
     if u is None or v is None:
         u, v = _pivot_edge(g)
-    minus_e, bracket = edge_recurrence_bracket(
-        g, u, v, leaf_threshold=leaf_threshold, cap=cap, memo=memo
-    )
+    minus_e, bracket = edge_recurrence_bracket(g, u, v, cap=cap, memo=memo)
     # x/(x-1) * S == exact-div(x*S, x-1); divisibility is part of the contract
     quotient = (bracket * _X).divide_exact_by_x_minus_1()
     return minus_e + quotient
@@ -124,7 +129,6 @@ def edge_recurrence(
 def components_product(
     g: Graph,
     *,
-    leaf_threshold: int = DEFAULT_LEAF_THRESHOLD,
     cap: int | None = None,
     memo: dict | None = None,
 ) -> DomPoly:
@@ -132,5 +136,5 @@ def components_product(
     result = DomPoly.one()
     memo = {} if memo is None else memo
     for comp in connected_components(g):
-        result = result * _eval(g.induced(comp), leaf_threshold, cap, memo)
+        result = result * _eval(g.induced(comp), cap, memo)
     return result

@@ -53,7 +53,6 @@ from functools import cached_property, reduce
 from operator import add
 from typing import Callable, Iterable
 
-from . import oracle
 from .graph import Graph, coalesce
 from .poly import DomPoly
 
@@ -340,17 +339,17 @@ IDENTITIES: dict[str, tuple[Identity, ...]] = {
     ),
 }
 
-# stated initial conditions below each adopted identity's start n; None marks
-# a base the oracle derives from the graph itself (X_0 has one vertex, X+e_0 two)
+# stated initial conditions below each adopted identity's start n; the trivial
+# ones are stated too (X_0 is one vertex, x; X+e_0 is one edge, x^2+2x)
 _BASES = {
     "T": {1: _p("x^3+3x^2+3x"), 2: _p("x^5+5x^4+10x^3+8x^2+x")},
-    "Q": {0: None, 1: _p("x^4+4x^3+6x^2"), 2: _p("x^7+7x^6+21x^5+29x^4+15x^3")},
-    "Q+e": {0: None, 1: _p("x^5+5x^4+9x^3+4x^2")},
+    "Q": {0: _p("x"), 1: _p("x^4+4x^3+6x^2"), 2: _p("x^7+7x^6+21x^5+29x^4+15x^3")},
+    "Q+e": {0: _p("x^2+2x"), 1: _p("x^5+5x^4+9x^3+4x^2")},
     "Qtri": {0: _p("x^3+3x^2+3x")},
     "Q2": {0: _p("x^3+3x^2+x")},
     "Qp": {0: _p("x^3+3x^2+x")},
-    "O": {0: None, 1: _p("x^4+4x^3+6x^2")},
-    "O+e": {0: None, 1: _p("x^5+5x^4+9x^3+4x^2")},
+    "O": {0: _p("x"), 1: _p("x^4+4x^3+6x^2")},
+    "O+e": {0: _p("x^2+2x"), 1: _p("x^5+5x^4+9x^3+4x^2")},
     "Otri": {0: _p("x^3+3x^2+3x")},
     "O2": {0: _p("x^3+3x^2+x")},
     "Op": {0: _p("x^4+4x^3+6x^2+2x")},
@@ -442,8 +441,6 @@ def _stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
                     _reject(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])), order, name)
             else:
                 p = _BASES[s][k]
-                if p is None:
-                    p = oracle.domination_polynomial(build_chain(s, k))
                 if max(_validated(p, order, name).coeffs) >> (packing.top + 1):
                     _reject(p, order, name)
                 v = p.eval_at(1 << packing.bits)

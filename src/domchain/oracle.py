@@ -50,7 +50,8 @@ def check_cap(cap: int | None) -> int:
     return cap
 
 
-def _check_cap(n: int, cap: int | None) -> None:
+def check_order(n: int, cap: int | None) -> None:
+    """Raise EnumerationCapError when n items are more than the cap (resolved by check_cap)."""
     cap = check_cap(cap)
     if n > cap:
         raise EnumerationCapError(n, cap)
@@ -107,7 +108,7 @@ def _scan(closed: list[int], target: int) -> np.ndarray:
 
 def domination_table(g: Graph, cap: int | None = None) -> list[int]:
     """counts[i] = number of dominating sets of size i, i = 0..n."""
-    _check_cap(g.n, cap)
+    check_order(g.n, cap)
     return _scan([g.closed(v) for v in range(g.n)], g.full_mask).tolist()
 
 
@@ -136,5 +137,5 @@ def restricted_polynomial(g: Graph, u: int, cap: int | None = None) -> DomPoly:
     target = g.full_mask & ~(1 << u)
     around = g.closed(u)
     allowed = [w for w in range(g.n) if not around >> w & 1]
-    _check_cap(len(allowed), cap)
+    check_order(len(allowed), cap)
     return DomPoly(_scan([g.closed(w) for w in allowed], target).tolist())

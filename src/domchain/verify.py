@@ -129,8 +129,7 @@ def verify_families(
     for f in fams:
         if f not in families.CHAIN_FAMILIES:
             raise ValueError(f"unknown family {f!r}; expected T, Q, or O")
-        if largest(f, 1) > cap:
-            raise oracle.EnumerationCapError(largest(f, 1), cap)
+        oracle.check_order(largest(f, 1), cap)
 
     @cache
     def poly(family: str, n: int, attachment: str | None) -> DomPoly:

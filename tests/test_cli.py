@@ -111,10 +111,35 @@ class TestCompute:
         assert rec_code == 0 and out == rec_out
 
     def test_missing_arguments(self, capsys):
-        code, _, err = run(capsys, "compute", "--family", "T")
-        assert code == 1
-        code, _, err = run(capsys, "compute")
-        assert code == 1
+        for argv in (["compute", "--family", "T"], ["compute"]):
+            with pytest.raises(SystemExit) as ei:
+                cli.main(argv)
+            assert ei.value.code == 1
+
+    @pytest.mark.parametrize("argv, clash", [
+        (["--family", "T", "--n", "2", "--n-range", "1:3"], "--n-range: not allowed with argument --n"),
+        (["--file", "g.edges", "--n", "7"], "--n: not allowed with argument --file"),
+        (["--file", "g.edges", "--n-range", "1:3"], "--n-range: not allowed with argument --file"),
+    ], ids=["n and n-range", "file and n", "file and n-range"])
+    def test_one_input_shape(self, capsys, monkeypatch, tmp_path, argv, clash):
+        # --n, --n-range and --file each say what compute reads; a second one is refused,
+        # not silently dropped
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.edges").write_text("2 1\n0 1\n")
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["compute", *argv])
+        assert ei.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.endswith(f"domchain compute: error: argument {clash}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "T", "--n-range", "5:3"], "empty range '5:3'"),
+        (["--file", "g.edges", "--family", "T"], "--file and --family are mutually exclusive"),
+        (["--n", "2"], "--n and --n-range need --family"),
+    ], ids=["empty range", "file and family", "n without family"])
+    def test_input_refusals(self, capsys, argv, message):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out, err) == (1, "", f"domchain: error: {message}\n")
 
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -292,22 +317,40 @@ class TestInputBounds:
         code, out, err = run(capsys, "compute", "--family", "Q", "--n-range=-1:30")
         assert (code, out, err) == (1, "", "domchain: error: family Q graphs start at n = 0, got -1\n")
 
-    @pytest.mark.parametrize("method", ["vertex", "edge", "product"])
-    def test_deep_recursion_is_input_error(self, method, tmp_path):
-        # a near-complete graph recurses one level per vertex without reaching the
-        # cap: K_600 takes about 30 s to exhaust the default recursion limit, and a
-        # lowered limit reaches the same error on K_140
-        path = tmp_path / "k140.edges"
-        path.write_text(format_edge_list(complete_graph(140)))
+    @staticmethod
+    def _compute_complete(tmp_path, n, method, seconds=30.0):
+        """compute --file K_n --method <method> in a child under recursion limit 250.
+
+        SIGALRM ends the child if compute itself runs for more than `seconds`.
+        """
+        path = tmp_path / f"k{n}.edges"
+        path.write_text(format_edge_list(complete_graph(n)))
         argv = ["compute", "--file", str(path), "--method", method]
-        code = ("import sys; sys.setrecursionlimit(250); from domchain.cli import main; "
-                f"sys.exit(main({argv!r}))")
+        code = ("import signal, sys; sys.setrecursionlimit(250); from domchain.cli import main; "
+                f"signal.setitimer(signal.ITIMER_REAL, {seconds}); sys.exit(main({argv!r}))")
         src = os.path.dirname(os.path.dirname(domchain.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, timeout=120)
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    @pytest.mark.parametrize("method", ["vertex", "edge", "product"])
+    def test_deep_recursion_is_input_error(self, method, tmp_path):
+        # a near-complete graph recurses one level per vertex without reaching the
+        # cap: the depth bound refuses K_600 at the default recursion limit, and
+        # K_140 under a lowered one, before any recursion
+        r = self._compute_complete(tmp_path, 140, method)
         assert r.returncode == 1 and r.stdout == ""
         assert "Traceback" not in r.stderr
-        assert r.stderr == (f"domchain: error: --method {method} recursed past Python's "
-                            "recursion limit on 140 vertices; use --method oracle or recurrence\n")
+        assert r.stderr == ("domchain: error: graph has 140 vertices, "
+                            "the general recurrences take at most 115\n")
+
+    @pytest.mark.parametrize("method", ["vertex", "edge", "product"])
+    def test_depth_bound_boundary(self, method, tmp_path):
+        # (250 - 40) // 2 + 10 = 115: K_115 fits the recursion limit, K_116 is refused at once
+        r = self._compute_complete(tmp_path, 115, method)
+        assert r.returncode == 0 and r.stderr == ""
+        r = self._compute_complete(tmp_path, 116, method, seconds=1.0)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == ("domchain: error: graph has 116 vertices, "
+                            "the general recurrences take at most 115\n")

@@ -1,9 +1,12 @@
+import sys
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from domchain import decompose, oracle
 from domchain.families import t_polynomial, triangle_chain
-from domchain.graph import Graph, cycle_graph, disjoint_union, path_graph
+from domchain.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from domchain.poly import DomPoly
 from conftest import random_connected_graph, random_disconnected_graph
 
@@ -23,9 +26,10 @@ class TestVertexRecurrence:
             g = random_connected_graph(rng, rng.randint(4, 11))
             assert decompose.vertex_recurrence(g) == oracle.domination_polynomial(g)
 
-    def test_recurses_above_leaf_threshold(self, rng):
+    def test_recurses_above_leaf_threshold(self, rng, monkeypatch):
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 6)
         g = random_connected_graph(rng, 13)
-        got = decompose.vertex_recurrence(g, leaf_threshold=6, memo={})
+        got = decompose.vertex_recurrence(g, memo={})
         assert got == oracle.domination_polynomial(g)
 
     def test_vertex_out_of_range(self):
@@ -60,9 +64,10 @@ class TestEdgeRecurrence:
         with pytest.raises(ValueError):
             decompose.edge_recurrence(path_graph(4), 0, 3)
 
-    def test_edgeless_graph_rejected(self):
-        with pytest.raises(ValueError):
-            decompose.edge_recurrence(Graph.from_edges(3, []))
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_graph_rejected(self, n):
+        with pytest.raises(ValueError, match="^graph has no edges$"):
+            decompose.edge_recurrence(Graph.from_edges(n, []))
 
 
 class TestComponentsProduct:
@@ -86,13 +91,14 @@ class TestComponentsProduct:
 
 
 class TestMemo:
-    def test_shared_memo_is_reused_and_consistent(self, rng):
+    def test_shared_memo_is_reused_and_consistent(self, rng, monkeypatch):
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 6)
         g = random_connected_graph(rng, 12)
         memo = {}
-        first = decompose.vertex_recurrence(g, leaf_threshold=6, memo=memo)
+        first = decompose.vertex_recurrence(g, memo=memo)
         assert memo  # something was cached
         size = len(memo)
-        second = decompose.vertex_recurrence(g, leaf_threshold=6, memo=memo)
+        second = decompose.vertex_recurrence(g, memo=memo)
         assert first == second == oracle.domination_polynomial(g)
         assert len(memo) == size
 
@@ -103,12 +109,13 @@ class TestMemo:
         g = cycle_graph(14)
         calls = []
         restricted = oracle.restricted_polynomial
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 6)
         monkeypatch.setattr(oracle, "restricted_polynomial",
                             lambda *a, **kw: calls.append(1) or restricted(*a, **kw))
-        without = evaluate(g, leaf_threshold=6)
+        without = evaluate(g)
         n_without = len(calls)
         calls.clear()
-        assert evaluate(g, leaf_threshold=6, memo={}) == without
+        assert evaluate(g, memo={}) == without
         assert n_without == len(calls) > 0
 
     def test_no_leaf_is_scanned_twice(self, monkeypatch):
@@ -116,9 +123,10 @@ class TestMemo:
         want = oracle.domination_polynomial(g)
         scanned = []
         scan = oracle.domination_polynomial
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 6)
         monkeypatch.setattr(oracle, "domination_polynomial",
                             lambda h, **kw: scanned.append(h) or scan(h, **kw))
-        assert decompose.vertex_recurrence(g, leaf_threshold=6) == want
+        assert decompose.vertex_recurrence(g) == want
         assert scanned and len(scanned) == len(set(scanned))
 
 
@@ -143,9 +151,30 @@ class TestCapOnEnumeratedSet:
         with pytest.raises(oracle.EnumerationCapError):
             evaluate(triangle_chain(100))
 
-    def test_oracle_leaf_still_capped(self):
+    def test_oracle_leaf_still_capped(self, monkeypatch):
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 13)
         with pytest.raises(oracle.EnumerationCapError):
-            decompose.components_product(triangle_chain(6), leaf_threshold=13, cap=12)
+            decompose.components_product(triangle_chain(6), cap=12)
+
+
+class TestDepthBound:
+    """Graphs too deep for the recursion limit are refused before the recursion starts."""
+
+    @pytest.mark.parametrize("evaluate", [
+        decompose.vertex_recurrence, decompose.edge_recurrence, decompose.components_product])
+    def test_refused_before_any_recursion(self, monkeypatch, evaluate):
+        # K_n passes the cap at every pivot (p_u enumerates nothing), so only the bound stops it
+        bound = (sys.getrecursionlimit() - 40) // 2 + decompose.LEAF_ORDER
+        g = complete_graph(bound + 1)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a vertex step recursed")
+
+        monkeypatch.setattr(Graph, "contract_vertex", no_step)
+        with pytest.raises(ValueError) as ei:
+            evaluate(g)
+        assert str(ei.value) == (f"graph has {bound + 1} vertices, "
+                                 f"the general recurrences take at most {bound}")
 
 
 @st.composite
@@ -164,7 +193,11 @@ class TestDifferential:
     @given(g=_graphs(), leaf=st.integers(1, 5))
     def test_all_methods_agree(self, g, leaf):
         want = oracle.domination_polynomial(g)
-        assert decompose.vertex_recurrence(g, leaf_threshold=leaf, memo={}) == want
-        assert decompose.components_product(g, leaf_threshold=leaf, memo={}) == want
-        if g.edge_count():
-            assert decompose.edge_recurrence(g, leaf_threshold=leaf, memo={}) == want
+        with mock.patch.object(decompose, "LEAF_ORDER", leaf):
+            assert decompose.vertex_recurrence(g, memo={}) == want
+            assert decompose.components_product(g, memo={}) == want
+            if g.edge_count():
+                assert decompose.edge_recurrence(g, memo={}) == want
+            else:
+                with pytest.raises(ValueError, match="^graph has no edges$"):
+                    decompose.edge_recurrence(g, memo={})

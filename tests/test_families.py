@@ -244,3 +244,15 @@ def test_verify_refuses_cap_before_building(monkeypatch, cap):
     monkeypatch.setattr(families, "build_chain", no_build)
     with pytest.raises(ValueError, match=f"cap {cap} is outside the hard safety limits 0..30"):
         verify.verify_families(cap=cap)
+
+
+def test_verify_refuses_unknown_family():
+    with pytest.raises(ValueError, match="^unknown family 'Z'; expected T, Q, or O$"):
+        verify.verify_families(family_subset=("Z",))
+
+
+@pytest.mark.parametrize("stream, k", [(s, k) for s, bases in families._BASES.items()
+                                       for k in bases])
+def test_stated_bases_equal_oracle(stream, k):
+    # every initial condition is stated, the trivial X_0 and X+e_0 included
+    assert families._BASES[stream][k] == oracle.domination_polynomial(build_chain(stream, k))

@@ -238,6 +238,11 @@ class TestEdgeListFormat:
         assert ei.value.line_no == line
         assert f"line {line}:" in str(ei.value)
 
+    @pytest.mark.parametrize("text", ["-1 0\n", "3 -1\n"])
+    def test_negative_header_count(self, text):
+        with pytest.raises(EdgeListParseError, match="^line 1: negative count in header$"):
+            parse_edge_list(text)
+
     def test_header_vertex_bound(self):
         limit = MAX_EDGE_LIST_VERTICES
         assert parse_edge_list(f"{limit} 0\n").n == limit

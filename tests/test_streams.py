@@ -35,8 +35,6 @@ def _plain_streams(family: str, hi: int) -> dict[tuple[str, int], DomPoly]:
         for s in STREAMS[family]:
             if k >= rules[s].start:
                 vals[s, k] = rules[s].rhs(k, lambda t, j: vals[t, j])
-            elif families._BASES[s][k] is None:
-                vals[s, k] = oracle.domination_polynomial(build_chain(s, k))
             else:
                 vals[s, k] = families._BASES[s][k]
     return vals
