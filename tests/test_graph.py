@@ -209,6 +209,32 @@ class TestGluedLabels:
             assert attach_gadget(g, v, kind) == _glued(g, v, gadget, 0)
 
 
+def _deleted(g: Graph, drop: set[int]) -> Graph:
+    """g without `drop` by from_edges: the kept vertices close up in order."""
+    label = {v: i for i, v in enumerate(w for w in range(g.n) if w not in drop)}
+    return Graph.from_edges(len(label), [(label[a], label[b]) for a, b in g.edges()
+                                         if a in label and b in label])
+
+
+class TestSurgeryLabels:
+    @settings(max_examples=80, deadline=None)
+    @given(g=_small_graphs(max_n=9), data=st.data())
+    def test_deletions_match_relabel_reference(self, g, data):
+        drop = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
+        assert g.delete_vertices(drop) == _deleted(g, set(drop))
+        keep = sorted(data.draw(st.sets(st.integers(0, g.n - 1))))
+        assert g.induced(keep) == _deleted(g, set(range(g.n)) - set(keep))
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=_small_graphs(max_n=9), data=st.data())
+    def test_neighborhood_surgery_matches_relabel_reference(self, g, data):
+        u = data.draw(st.integers(0, g.n - 1))
+        nbrs = g.neighbors(u)
+        assert g.delete_closed_neighborhood(u) == _deleted(g, {u, *nbrs})
+        joined = Graph.from_edges(g.n, [*g.edges(), *((a, b) for a in nbrs for b in nbrs if a < b)])
+        assert g.contract_vertex(u) == _deleted(joined, {u})
+
+
 class TestEdgeListFormat:
     def test_roundtrip(self):
         g = cycle_graph(5).append_pendant(0)
