@@ -3,7 +3,9 @@
 Vertices are labeled 0..n-1.  Each vertex carries an adjacency bitmask
 (a Python int, so width is unbounded).  All surgery operations are pure:
 they return a new Graph and never mutate the receiver, which makes Graph
-values safe to share and usable as dict keys for memoization.
+values safe to share and usable as dict keys for memoization.  Deleting
+vertices closes the remaining labels up in order: `delete_vertices` is the one
+place that does it, and `induced` returns its vertices in label order.
 """
 from __future__ import annotations
 
@@ -77,26 +79,28 @@ class Graph:
 
     # -- surgery ------------------------------------------------------------
 
-    def induced(self, keep: list[int]) -> "Graph":
-        """Induced subgraph on `keep`, relabeled 0..len(keep)-1 in the given order."""
-        pos = {v: i for i, v in enumerate(keep)}
-        adj = []
+    def induced(self, keep: Iterable[int]) -> "Graph":
+        """Induced subgraph on the ids in `keep`, relabeled in label order."""
+        keep = set(keep)
         for v in keep:
-            m = 0
-            for u in _bits(self.adj[v]):
-                if u in pos:
-                    m |= 1 << pos[u]
-            adj.append(m)
-        return Graph(len(keep), tuple(adj))
+            self._check_vertex(v)
+        return self.delete_vertices([v for v in range(self.n) if v not in keep])
 
     def delete_vertices(self, s: Iterable[int]) -> "Graph":
-        drop = set(s)
-        for v in drop:
+        """G - s; the kept vertices close up their labels in order."""
+        drop = 0
+        for v in s:
             self._check_vertex(v)
-        return self.induced([v for v in range(self.n) if v not in drop])
+            drop |= 1 << v
+        adj = [m for v, m in enumerate(self.adj) if not drop >> v & 1]
+        for d in reversed(_bits(drop)):  # highest first, so lower bits keep their place
+            low = (1 << d) - 1
+            adj = [m & low | m >> 1 & ~low for m in adj]
+        return Graph(len(adj), tuple(adj))
 
     def delete_closed_neighborhood(self, u: int) -> "Graph":
         """G - N[u]."""
+        self._check_vertex(u)
         return self.delete_vertices(_bits(self.closed(u)))
 
     def contract_vertex(self, u: int) -> "Graph":
@@ -147,14 +151,10 @@ def coalesce(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     """
     g1._check_vertex(v1)
     g2._check_vertex(v2)
-    # g2 vertex w != v2 maps to g1.n + rank of w among non-v2 vertices
-    label = [v1 if w == v2 else g1.n + w - (w > v2) for w in range(g2.n)]
-    adj = list(g1.adj) + [0] * (g2.n - 1)
-    for a, b in g2.edges():
-        u, v = label[a], label[b]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(g1.n + g2.n - 1, tuple(adj))
+    w = g1.n + v2  # v2 in the disjoint union: v1 takes over its edges, then it goes
+    adj = [m | (m >> w & 1) << v1 for m in disjoint_union(g1, g2).adj]
+    adj[v1] |= adj[w]
+    return Graph(len(adj), tuple(adj)).delete_vertices([w])
 
 
 def connected_components(g: Graph) -> list[list[int]]:
