@@ -118,7 +118,9 @@ def edge_recurrence(
     memo: dict | None = None,
 ) -> DomPoly:
     """D(G,x) via the edge identity at e={u,v} (default: edge at the pivot vertex)."""
-    if u is None or v is None:
+    if (u is None) != (v is None):
+        raise ValueError("give both endpoints u and v, or neither")
+    if u is None:
         u, v = _pivot_edge(g)
     minus_e, bracket = edge_recurrence_bracket(g, u, v, cap=cap, memo=memo)
     # x/(x-1) * S == exact-div(x*S, x-1); divisibility is part of the contract

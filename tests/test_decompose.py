@@ -64,6 +64,12 @@ class TestEdgeRecurrence:
         with pytest.raises(ValueError):
             decompose.edge_recurrence(path_graph(4), 0, 3)
 
+    @pytest.mark.parametrize("u,v", [(3, None), (None, 2)])
+    def test_one_endpoint_rejected(self, u, v):
+        # the pivot edge of C_5 is (0, 1), so neither call may fall back to it
+        with pytest.raises(ValueError, match="^give both endpoints u and v, or neither$"):
+            decompose.edge_recurrence(cycle_graph(5), u, v)
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_edgeless_graph_rejected(self, n):
         with pytest.raises(ValueError, match="^graph has no edges$"):
