@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import domchain
 from domchain import cli, families
 from domchain.families import FAMILY_NAMES, t_polynomial
 from domchain.graph import complete_graph, format_edge_list
+from domchain.poly import DomPoly
 
 
 def run(capsys, *argv):
@@ -318,15 +320,15 @@ class TestInputBounds:
         assert (code, out, err) == (1, "", "domchain: error: family Q graphs start at n = 0, got -1\n")
 
     @staticmethod
-    def _compute_complete(tmp_path, n, method, seconds=30.0):
-        """compute --file K_n --method <method> in a child under recursion limit 250.
+    def _compute_complete(tmp_path, n, method, seconds=30.0, limit=250):
+        """compute --file K_n --method <method> in a child under recursion limit `limit`.
 
         SIGALRM ends the child if compute itself runs for more than `seconds`.
         """
         path = tmp_path / f"k{n}.edges"
         path.write_text(format_edge_list(complete_graph(n)))
         argv = ["compute", "--file", str(path), "--method", method]
-        code = ("import signal, sys; sys.setrecursionlimit(250); from domchain.cli import main; "
+        code = (f"import signal, sys; sys.setrecursionlimit({limit}); from domchain.cli import main; "
                 f"signal.setitimer(signal.ITIMER_REAL, {seconds}); sys.exit(main({argv!r}))")
         src = os.path.dirname(os.path.dirname(domchain.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -354,3 +356,12 @@ class TestInputBounds:
         assert (r.returncode, r.stdout) == (1, "")
         assert r.stderr == ("domchain: error: graph has 116 vertices, "
                             "the general recurrences take at most 115\n")
+
+    @pytest.mark.parametrize("method", ["vertex", "edge"])
+    def test_dense_graph_at_default_bound_is_fast(self, method, tmp_path):
+        # K_490 sits exactly at the bound of the default limit 1000 and recurses one
+        # level per vertex; whole-row surgery keeps each of its steps cheap
+        r = self._compute_complete(tmp_path, 490, method, seconds=5.0, limit=1000)
+        assert (r.returncode, r.stderr) == (0, "")
+        # D(K_n) = (1+x)^n - 1
+        assert r.stdout == DomPoly([0, *(math.comb(490, k) for k in range(1, 491))]).to_text() + "\n"
