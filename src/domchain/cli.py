@@ -148,7 +148,10 @@ def _sequence_values(family: str, max_n: int) -> tuple[int, list[int]]:
     _check_size(family, max_n)
     if family == "T":
         return 0, families.t_count_sequence(max_n)
-    return 1, [p.eval_at(1) for p in families.family_polynomials(family, 1, max_n)]
+    families.check_n(family, max_n, recurrence=True)
+    # summed as the pass yields, so only one polynomial is held at a time
+    return 1, [v[family].eval_at(1)
+               for _, v in families.stream_values(family, 1, max_n, (family,))]
 
 
 def cmd_sequence(args) -> int:
@@ -182,10 +185,11 @@ def cmd_bench(args) -> int:
     w = csv.writer(buf)
     w.writerow(["family", "n", "vertices", "subsets",
                 "oracle_seconds", "recurrence_seconds", "speedup", "status"])
+    mismatch = False
     for n in ns:
         order = families.family_order(args.family, n)
         t0 = time.perf_counter()
-        families.family_polynomial(args.family, n)
+        rec = families.family_polynomial(args.family, n)
         rec_s = time.perf_counter() - t0
         if order > cap:
             w.writerow([args.family, n, order, 2 ** order, "", f"{rec_s:.6f}", "",
@@ -193,13 +197,14 @@ def cmd_bench(args) -> int:
             continue
         g = families.build_chain(args.family, n)
         t0 = time.perf_counter()
-        oracle.domination_polynomial(g, cap=cap)
+        orc = oracle.domination_polynomial(g, cap=cap)
         orc_s = time.perf_counter() - t0
+        mismatch |= orc != rec
         speedup = orc_s / rec_s if rec_s > 0 else float("inf")
-        w.writerow([args.family, n, order, 2 ** order,
-                    f"{orc_s:.6f}", f"{rec_s:.6f}", f"{speedup:.1f}", "ok"])
+        w.writerow([args.family, n, order, 2 ** order, f"{orc_s:.6f}", f"{rec_s:.6f}",
+                    f"{speedup:.1f}", "ok" if orc == rec else "MISMATCH"])
     _emit(buf.getvalue(), args.output)
-    return EXIT_OK
+    return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 # -- argument wiring -------------------------------------------------------------
@@ -232,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check every chain identity against the oracle")
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--family", choices=("T", "Q", "O"), default=None)
+    p.add_argument("--family", choices=families.CHAIN_FAMILIES, default=None)
     p.add_argument("--literal-paper", action="store_true",
                    help="also run the literally-published variants of disputed identities")
     common(p, formats=("text", "json"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="total dominating-set counts along a family")
-    p.add_argument("--family", choices=("T", "Q", "O"), required=True)
+    p.add_argument("--family", choices=families.CHAIN_FAMILIES, required=True)
     p.add_argument("--max-n", type=int, default=10)
     common(p, cap=False)  # sequence never enumerates
     p.set_defaults(func=cmd_sequence)

@@ -133,11 +133,6 @@ def family_order(family: str, n: int, attachment: str | None = None) -> int:
     return order + _GADGETS[attachment or ADOPTED_ATTACHMENT[family]].n - 1
 
 
-def terminal_vertex(family: str, n: int) -> int:
-    """The free end of the chain, where gadgets attach."""
-    return _BLOCKS[family[0]][0] * n
-
-
 def attach_gadget(g: Graph, v: int, kind: str) -> Graph:
     """Attach the named structure at vertex v (new vertices labeled upward)."""
     if kind not in _GADGETS:
@@ -158,7 +153,7 @@ def build_chain(family: str, n: int, attachment: str | None = None) -> Graph:
             raise ValueError("plain chains take no attachment")
         return chain
     kind = attachment or ADOPTED_ATTACHMENT[family]
-    return attach_gadget(chain, terminal_vertex(family, n), kind)
+    return attach_gadget(chain, width * n, kind)  # the chain's free end
 
 
 def triangle_chain(n: int) -> Graph:
@@ -413,12 +408,12 @@ def _reject(p: DomPoly, order: int, identity: str):
     raise RecurrenceConfigError(identity, f"coefficient {max(p.coeffs)} exceeds 2^{order}")
 
 
-def _stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
+def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     """Yield (k, {stream: validated polynomial}) for k = lo..hi, bottom-up from the first graph n.
 
-    Every stream value is held packed with one B for the pass; only the listed
-    streams at k >= lo are unpacked.  Only the last few k are kept, as deep as
-    the identities look back.
+    The one way code outside this module reads a closed system.  Each value is
+    held packed with one B for the pass; only the listed streams at k >= lo are
+    unpacked, and only the last k the identities look back to are kept.
     """
     rules = _adopted(family)
     depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
@@ -453,7 +448,7 @@ def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
     """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
     for n in (lo, hi):
         check_n(family, n, recurrence=True)
-    return [v[family] for _, v in _stream_values(family[0], lo, hi, (family,))]
+    return [v[family] for _, v in stream_values(family[0], lo, hi, (family,))]
 
 
 def family_polynomial(family: str, n: int) -> DomPoly:
@@ -488,7 +483,7 @@ def t_count_sequence(n_max: int) -> list[int]:
 
 def _states(family: str, n: int) -> list[dict[str, DomPoly]]:
     check_n(family, n)
-    return [v for _, v in _stream_values(family, 0, n, STREAMS[family])]
+    return [v for _, v in stream_values(family, 0, n, STREAMS[family])]
 
 
 def q_stream(n: int) -> list[dict[str, DomPoly]]:

@@ -163,7 +163,7 @@ def verify_families(
 def _closed_checks(fam: str, top: int, poly: Callable[[str, int, str | None], DomPoly]):
     """The recurrence-built streams themselves against the oracle, n = 1..top, in one pass."""
     counts = families.t_count_sequence(top) if fam == "T" else None
-    for n, values in families._stream_values(fam, 1, top, families.STREAMS[fam]):
+    for n, values in families.stream_values(fam, 1, top, families.STREAMS[fam]):
         for s, p in values.items():
             label = ("d(T_n,k) coefficient-table recurrence" if s == "T"
                      else f"closed {s} stream vs oracle")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -225,6 +226,24 @@ class TestSequence:
         data = json.loads(out)
         assert data == {"family": "T", "start_n": 0, "values": ["2", "7", "25"]}
 
+    @staticmethod
+    def _peak_bytes(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fam", ["Q", "O"])
+    def test_holds_one_polynomial_at_a_time(self, capsys, fam):
+        # the counts are summed as the stream pass yields; a list of all 300
+        # polynomials would peak at several times one top-n polynomial
+        one = self._peak_bytes(lambda: families.family_polynomial(fam, 300))
+        seq = self._peak_bytes(lambda: cli.main(["sequence", "--family", fam, "--max-n", "300"]))
+        capsys.readouterr()
+        assert seq <= 2 * one, (seq, one)
+
 
 class TestBench:
     def test_csv_with_skipped_rows(self, capsys):
@@ -246,6 +265,19 @@ class TestBench:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "bench", "--n-range", "5")
         assert code == 1
+
+    def test_mismatch_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(families, "family_polynomial", lambda family, n: DomPoly.x())
+        code, out, _ = run(capsys, "bench", "--family", "T", "--n-range", "1:2")
+        assert code == 2
+        assert [r[-1] for r in csv.reader(io.StringIO(out))][1:] == ["MISMATCH"] * 2
+
+    @pytest.mark.parametrize("fam", FAMILY_NAMES)
+    def test_every_family_matches_from_its_first_n(self, capsys, fam):
+        lo = 1 if fam in families.CHAIN_FAMILIES else 0
+        code, out, _ = run(capsys, "bench", "--family", fam, "--n-range", f"{lo}:3")
+        assert code == 0
+        assert [r[-1] for r in csv.reader(io.StringIO(out))][1:] == ["ok"] * (4 - lo)
 
 
 class TestInputBounds:
