@@ -69,12 +69,10 @@ def vertex_recurrence(
     memo: dict | None = None,
 ) -> DomPoly:
     """D(G,x) via one application of the vertex identity at u (default: pivot policy)."""
-    if g.n == 0:
-        return DomPoly.one()
     if u is None:
+        if g.n == 0:
+            return DomPoly.one()
         u = max_degree_vertex(g)
-    else:
-        g._check_vertex(u)
     return _apply_vertex(g, u, cap, {} if memo is None else memo)
 
 
@@ -87,8 +85,6 @@ def edge_recurrence_bracket(
     memo: dict | None = None,
 ) -> tuple[DomPoly, DomPoly]:
     """(D(G-e), bracket sum S) for e={u,v}; S must vanish at x=1."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
     ge = g.delete_edge(u, v)
     memo = {} if memo is None else memo
 

@@ -34,17 +34,20 @@ applies a multiplier power by power of x, a small-integer combination of the
 group sums per power joined by `<< B` Horner steps, never as one big
 product; B = 0 evaluates at x = 1.  Only the values handed out are unpacked.
 
-Validation stays exact.  A packed value is accepted (_Packing.accepts) when,
+Validation stays exact, and _validated owns every rule: degree `order`,
+leading coefficient one, constant term zero, and each coefficient in
+[0, 2^order), which every domination polynomial satisfies (d(G,k) <=
+C(order,k) < 2^order).  A packed value is accepted (_Packing.accepts) when,
 read as B-bit digits, digit `order` is one with nothing above, digit 0 is
 zero and no digit reaches 2^(top+1).  By induction every accepted value has
 its coefficients in [0, 2^(top+1)), so a right-hand side has every
 coefficient below weight * 2^(top+1) <= 2^(B-1) in magnitude and its digits
-are exactly its coefficients.  Acceptance therefore holds iff _validated
-holds and no coefficient reaches 2^(top+1), which no domination polynomial
-does (d(G,k) <= 2^order).  Only accepted values are unpacked, so digits are
-read unsigned.  A refused value's identity is evaluated again on DomPoly
-from the window values (all accepted) and handed to _validated, whose
-messages are unchanged.
+are exactly its coefficients.  Every polynomial _validated passes has its
+coefficients below 2^order <= 2^(top+1), so its packed value is accepted; a
+refused value therefore always fails _validated.  Only accepted values are
+unpacked, so digits are read unsigned.  A refused value's identity is
+evaluated again on DomPoly from the window values (all accepted) and handed
+to _validated, which raises with its own message.
 """
 from __future__ import annotations
 
@@ -365,6 +368,8 @@ def _validated(p: DomPoly, order: int, identity: str) -> DomPoly:
         raise RecurrenceConfigError(identity, f"nonzero constant term {p[0]}")
     if min(p.coeffs) < 0:
         raise RecurrenceConfigError(identity, "negative coefficient")
+    if max(p.coeffs) >> order:
+        raise RecurrenceConfigError(identity, f"coefficient {max(p.coeffs)} exceeds 2^{order}")
     return p
 
 
@@ -382,7 +387,6 @@ class _Packing:
     """Polynomials as the ints D(p, 2^bits), one `bits` for one stream pass up to `top` vertices."""
 
     def __init__(self, rules: Iterable[Identity], top: int):
-        self.top = top
         self.bits = bits = _digit_bits(rules, top)
         self._low = (1 << bits) - 1
         # every bit at or above top + 1 within each of the first top + 1 digits
@@ -400,12 +404,6 @@ class _Packing:
         """Whether v, read as digits, has digit `order` one and none above (so v > 0),
         digit 0 zero, and no digit at or above 2^(top+1)."""
         return v >> order * self.bits == 1 and not v & self._low and not v & self._bad
-
-
-def _reject(p: DomPoly, order: int, identity: str):
-    """Raise for a stream value the packed check refused."""
-    _validated(p, order, identity)
-    raise RecurrenceConfigError(identity, f"coefficient {max(p.coeffs)} exceeds 2^{order}")
 
 
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
@@ -432,13 +430,11 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
             if k >= rule.start:
                 v = rule.rhs(k, value, packing.bits)
                 if not packing.accepts(v, order):
-                    # the same identity on DomPoly, over window values that were all accepted
-                    _reject(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])), order, name)
+                    # the same identity on DomPoly, over window values that were all
+                    # accepted: a refused value always fails _validated, so this raises
+                    _validated(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])), order, name)
             else:
-                p = _BASES[s][k]
-                if max(_validated(p, order, name).coeffs) >> (packing.top + 1):
-                    _reject(p, order, name)
-                v = p.eval_at(1 << packing.bits)
+                v = _validated(_BASES[s][k], order, name).eval_at(1 << packing.bits)
             cur[s] = v
         if k >= lo:
             yield k, {s: packing.unpack(cur[s]) for s in streams}

@@ -4,8 +4,11 @@ Vertices are labeled 0..n-1.  Each vertex carries an adjacency bitmask
 (a Python int, so width is unbounded).  All surgery operations are pure:
 they return a new Graph and never mutate the receiver, which makes Graph
 values safe to share and usable as dict keys for memoization.  Deleting
-vertices closes the remaining labels up in order: `delete_vertices` is the one
-place that does it, and `induced` returns its vertices in label order.
+vertices closes the remaining labels up in order, and one rule does it for
+every surgery that drops vertices (`delete_vertices`, `induced`,
+`delete_closed_neighborhood`, `contract_vertex`, `coalesce`): `_cut` keeps the
+rows outside a drop mask and cuts each maximal run of dropped labels out of
+them in one shift, highest run first.
 """
 from __future__ import annotations
 
@@ -79,29 +82,37 @@ class Graph:
 
     # -- surgery ------------------------------------------------------------
 
+    def _mask(self, ids: Iterable[int]) -> int:
+        """Bitmask of `ids`, each checked to be a vertex."""
+        mask = 0
+        for v in ids:
+            self._check_vertex(v)
+            mask |= 1 << v
+        return mask
+
+    def _cut(self, drop: int) -> "Graph":
+        """The graph on the vertices outside the mask `drop`, labels closed up in order."""
+        adj = [self.adj[v] for v in _bits(self.full_mask & ~drop)]
+        while drop:  # one shift per maximal run, highest first, so lower bits keep their place
+            top = drop.bit_length()
+            lo = (~drop & (1 << top) - 1).bit_length()  # the run is lo..top-1
+            low = (1 << lo) - 1
+            adj = [m & low | m >> top - lo & ~low for m in adj]
+            drop &= low
+        return Graph(len(adj), tuple(adj))
+
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on the ids in `keep`, relabeled in label order."""
-        keep = set(keep)
-        for v in keep:
-            self._check_vertex(v)
-        return self.delete_vertices([v for v in range(self.n) if v not in keep])
+        return self._cut(self.full_mask & ~self._mask(keep))
 
     def delete_vertices(self, s: Iterable[int]) -> "Graph":
         """G - s; the kept vertices close up their labels in order."""
-        drop = 0
-        for v in s:
-            self._check_vertex(v)
-            drop |= 1 << v
-        adj = [m for v, m in enumerate(self.adj) if not drop >> v & 1]
-        for d in reversed(_bits(drop)):  # highest first, so lower bits keep their place
-            low = (1 << d) - 1
-            adj = [m & low | m >> 1 & ~low for m in adj]
-        return Graph(len(adj), tuple(adj))
+        return self._cut(self._mask(s))
 
     def delete_closed_neighborhood(self, u: int) -> "Graph":
         """G - N[u]."""
         self._check_vertex(u)
-        return self.delete_vertices(_bits(self.closed(u)))
+        return self._cut(self.closed(u))
 
     def contract_vertex(self, u: int) -> "Graph":
         """Join all pairs of N(u), then delete u (the G/u of deletion-style recurrences)."""
@@ -110,7 +121,7 @@ class Graph:
         adj = list(self.adj)
         for v in _bits(nbrs):
             adj[v] |= nbrs & ~(1 << v)
-        return Graph(self.n, tuple(adj)).delete_vertices([u])
+        return Graph(self.n, tuple(adj))._cut(1 << u)
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -154,7 +165,7 @@ def coalesce(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     w = g1.n + v2  # v2 in the disjoint union: v1 takes over its edges, then it goes
     adj = [m | (m >> w & 1) << v1 for m in disjoint_union(g1, g2).adj]
     adj[v1] |= adj[w]
-    return Graph(len(adj), tuple(adj)).delete_vertices([w])
+    return Graph(len(adj), tuple(adj))._cut(1 << w)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

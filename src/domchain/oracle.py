@@ -12,14 +12,16 @@ a high half.  The unions of all low subsets are tabulated once with numpy,
 laid out by popcount.  The high assignments are grouped by their union mask
 and each distinct mask is checked against the low table in one vectorized
 pass; `np.add.reduceat` over the popcount segments yields the size
-histogram, which is convolved with the group's high-size counts.  A group
-that already covers the target needs no pass: its histogram is the binomial
-row.  Counts stay below 2^30, so int64 is exact.
+histogram, which is convolved with the group's high-size counts.  When some
+target vertex lies in no candidate mask, no subset covers the target, and the
+scan returns zero counts before it builds any table.  Counts stay below 2^30,
+so int64 is exact.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -58,24 +60,27 @@ def check_order(n: int, cap: int | None) -> None:
 
 
 @functools.cache  # built on first use per width, never at import
-def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Subsets of `bits` items sorted by size, each size's first index, and C(bits, k)."""
+def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subsets of `bits` items sorted by size, and each size's first index."""
     pop = np.zeros(1 << bits, dtype=np.int8)
     for v in range(bits):
         np.add(pop[: 1 << v], 1, out=pop[1 << v : 2 << v])
     row = np.array([math.comb(bits, k) for k in range(bits + 1)], dtype=np.int64)
-    return np.argsort(pop, kind="stable"), np.cumsum(row) - row, row
+    return np.argsort(pop, kind="stable"), np.cumsum(row) - row
 
 
 def _scan(closed: list[int], target: int) -> np.ndarray:
     """counts[k] = number of k-subsets of the candidates whose closed masks cover target."""
+    counts = np.zeros(len(closed) + 1, dtype=np.int64)
+    if target & ~functools.reduce(operator.or_, closed, 0):
+        return counts  # some target vertex cannot be covered
     low, high, reach = [m & target for m in closed], [], 0
     while len(low) > _LOW_BITS:  # a compact high half has few distinct unions
         m = min(low, key=lambda m: ((reach | m).bit_count(), -m.bit_count()))
         low.remove(m)
         high.append(m)
         reach |= m
-    perm, starts, row = _popcount_order(len(low))
+    perm, starts = _popcount_order(len(low))
     dtype = np.uint32 if target >> 32 == 0 else np.uint64 if target >> 64 == 0 else object
     union = np.zeros(1 << len(low), dtype=dtype)
     for v, m in enumerate(low):
@@ -90,19 +95,13 @@ def _scan(closed: list[int], target: int) -> np.ndarray:
                 acc = grown.get(key)
                 grown[key] = by_size if acc is None else [a + b for a, b in zip(acc, by_size)]
         groups = grown
-    counts = np.zeros(len(closed) + 1, dtype=np.int64)
     buf = np.empty_like(union)
     hit = np.empty(union.shape, dtype=np.uint8)
     for mask, sizes in groups.items():
-        if mask == target:
-            hist = row
-        elif mask | low_all == target:
+        if mask | low_all == target:
             np.bitwise_or(union, mask, out=buf)
             np.equal(buf, target, out=hit)
-            hist = np.add.reduceat(hit, starts, dtype=np.int32)
-        else:
-            continue
-        counts += np.convolve(hist, sizes)
+            counts += np.convolve(np.add.reduceat(hit, starts, dtype=np.int32), sizes)
     return counts
 
 

@@ -35,11 +35,7 @@ class IdentityCheck:
     @property
     def first_mismatch(self) -> int | None:
         """Lowest coefficient index where the two sides differ, or None."""
-        top = max(self.recurrence.degree, self.oracle_poly.degree)
-        for i in range(top + 1):
-            if self.recurrence[i] != self.oracle_poly[i]:
-                return i
-        return None
+        return (self.recurrence - self.oracle_poly).gamma()
 
     def to_json_dict(self) -> dict:
         d = {

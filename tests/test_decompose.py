@@ -1,3 +1,4 @@
+import signal
 import sys
 from unittest import mock
 
@@ -35,6 +36,11 @@ class TestVertexRecurrence:
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):
             decompose.vertex_recurrence(path_graph(3), 5)
+
+    def test_vertex_out_of_range_on_empty_graph(self):
+        # the empty-graph shortcut serves only the default pivot, never a stated u
+        with pytest.raises(ValueError, match="^vertex id 3 out of range for n=0$"):
+            decompose.vertex_recurrence(Graph(0, ()), 3)
 
     def test_pivot_policy_prefers_degree_then_low_label(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -94,6 +100,22 @@ class TestComponentsProduct:
     def test_isolated_vertices(self):
         g = Graph.from_edges(3, [])
         assert decompose.components_product(g) == DomPoly((0, 0, 0, 1))
+
+    def test_many_components_in_linear_time(self):
+        # each component is cut out of the n-bit rows in a few shifts, so 3000
+        # isolated vertices take a fraction of a second, not a quadratic number of deletions
+        g = Graph.from_edges(3000, [])
+
+        def expire(signum, frame):
+            raise TimeoutError("components_product of 3000 isolated vertices took over 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            assert decompose.components_product(g) == DomPoly.monomial(1, 3000)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestMemo:

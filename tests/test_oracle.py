@@ -118,6 +118,16 @@ class TestRestricted:
         g = path_graph(2)
         assert oracle.restricted_polynomial(g, 0) == DomPoly.zero()
 
+    def test_uncoverable_target_builds_no_table(self, monkeypatch):
+        # triangle 0-1-2 with pendant 3 on 0: at u = 0 no vertex is allowed, so
+        # nothing covers 1, 2 or 3 and the scan returns before tabulating
+        def no_table(bits):
+            raise AssertionError("the scan built a subset table")
+
+        monkeypatch.setattr(oracle, "_popcount_order", no_table)
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        assert oracle.restricted_polynomial(g, 0) == DomPoly.zero()
+
     @pytest.mark.parametrize("spokes", [40, 70])
     def test_wide_graph_small_enumeration(self, spokes):
         # u = 0 sees every spoke a_i; the allowed set is the five hubs b_j,
