@@ -50,6 +50,15 @@ def _check_size(family: str, n: int) -> None:
                          f"limit is {MAX_EDGE_LIST_VERTICES}")
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text of the header and rows: one writerow call per row, the call perfbench times."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    for row in (header, *rows):
+        w.writerow(row)
+    return buf.getvalue()
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -108,12 +117,9 @@ def cmd_compute(args) -> int:
         records = [_record(args.family, n, p) for n, p in results]
         out = json.dumps(records[0] if single else records, indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["family", "n", "degree", "gamma", "count_at_1", "polynomial"])
-        for n, p in results:
-            w.writerow([args.family or "", n, p.degree, p.gamma(), p.eval_at(1), p.to_text()])
-        out = buf.getvalue()
+        out = _csv(["family", "n", "degree", "gamma", "count_at_1", "polynomial"],
+                   ([args.family or "", n, p.degree, p.gamma(), p.eval_at(1), p.to_text()]
+                    for n, p in results))
     else:
         lines = [p.to_text() if single else
                  f"n={n} degree={p.degree} gamma={p.gamma()} count={p.eval_at(1)} {p.to_text()}"
@@ -163,12 +169,7 @@ def cmd_sequence(args) -> int:
             "values": [str(v) for v in values],
         }, indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "count"])
-        for i, v in enumerate(values, start=start):
-            w.writerow([i, v])
-        out = buf.getvalue()
+        out = _csv(["n", "count"], enumerate(values, start=start))
     else:
         out = ", ".join(str(v) for v in values) + "\n"
     _emit(out, args.output)
@@ -181,10 +182,7 @@ def cmd_bench(args) -> int:
     cap = oracle.check_cap(args.cap)
     ns = _parse_range(args.n_range)
     _check_size(args.family, ns[-1])
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["family", "n", "vertices", "subsets",
-                "oracle_seconds", "recurrence_seconds", "speedup", "status"])
+    rows = []
     mismatch = False
     for n in ns:
         order = families.family_order(args.family, n)
@@ -192,8 +190,8 @@ def cmd_bench(args) -> int:
         rec = families.family_polynomial(args.family, n)
         rec_s = time.perf_counter() - t0
         if order > cap:
-            w.writerow([args.family, n, order, 2 ** order, "", f"{rec_s:.6f}", "",
-                        f"skipped: {order} vertices exceeds cap {cap}"])
+            rows.append([args.family, n, order, 2 ** order, "", f"{rec_s:.6f}", "",
+                         f"skipped: {order} vertices exceeds cap {cap}"])
             continue
         g = families.build_chain(args.family, n)
         t0 = time.perf_counter()
@@ -201,9 +199,10 @@ def cmd_bench(args) -> int:
         orc_s = time.perf_counter() - t0
         mismatch |= orc != rec
         speedup = orc_s / rec_s if rec_s > 0 else float("inf")
-        w.writerow([args.family, n, order, 2 ** order, f"{orc_s:.6f}", f"{rec_s:.6f}",
-                    f"{speedup:.1f}", "ok" if orc == rec else "MISMATCH"])
-    _emit(buf.getvalue(), args.output)
+        rows.append([args.family, n, order, 2 ** order, f"{orc_s:.6f}", f"{rec_s:.6f}",
+                     f"{speedup:.1f}", "ok" if orc == rec else "MISMATCH"])
+    _emit(_csv(["family", "n", "vertices", "subsets",
+                "oracle_seconds", "recurrence_seconds", "speedup", "status"], rows), args.output)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 

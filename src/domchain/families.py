@@ -24,30 +24,30 @@ IDENTITIES.  One bottom-up pass over a system's streams serves every
 polynomial view here and the closed-stream checks in verify.py; a
 literal-paper variant is an entry with adopted=False that carries its erratum.
 
-The pass runs on packed integers (Kronecker substitution): each stream value
-D(X_k, x) is held as the int D(X_k, 2^B), and a base packs as its
-eval_at(2^B).  B is fixed per pass by _digit_bits: the largest stream order
-`top` at the pass's last n, plus bit_length of the largest identity weight
-(Identity.weight, the sum over groups of ||multiplier||_1 times the group's
-refs), plus 2, rounded up to whole bytes.  Evaluation at 2^B is a ring homomorphism, so Identity.rhs
-applies a multiplier power by power of x, a small-integer combination of the
-group sums per power joined by `<< B` Horner steps, never as one big
-product; B = 0 evaluates at x = 1.  Only the values handed out are unpacked.
+The pass runs on packed integers (Kronecker substitution, as in Harvey,
+arXiv:0712.4046, but packed once per pass rather than once per product):
+each stream value D(X_k, x) is held as the int D(X_k, 2^B), and a base packs
+as its eval_at(2^B).  B is fixed per pass by _digit_bits: the largest stream
+order `top` at the pass's last n, plus bit_length of the largest
+Identity.weight, plus 2, rounded up to whole bytes.  Evaluation at 2^B is a
+ring homomorphism, so Identity.rhs applies a multiplier power by power of x,
+a small-integer combination of the group sums per power joined by `<< B`
+Horner steps, never as one big product; B = 0 evaluates at x = 1.
 
-Validation stays exact, and _validated owns every rule: degree `order`,
-leading coefficient one, constant term zero, and each coefficient in
-[0, 2^order), which every domination polynomial satisfies (d(G,k) <=
-C(order,k) < 2^order).  A packed value is accepted (_Packing.accepts) when,
-read as B-bit digits, digit `order` is one with nothing above, digit 0 is
-zero and no digit reaches 2^(top+1).  By induction every accepted value has
-its coefficients in [0, 2^(top+1)), so a right-hand side has every
-coefficient below weight * 2^(top+1) <= 2^(B-1) in magnitude and its digits
-are exactly its coefficients.  Every polynomial _validated passes has its
-coefficients below 2^order <= 2^(top+1), so its packed value is accepted; a
-refused value therefore always fails _validated.  Only accepted values are
-unpacked, so digits are read unsigned.  A refused value's identity is
-evaluated again on DomPoly from the window values (all accepted) and handed
-to _validated, which raises with its own message.
+_validated owns the rules of a domination polynomial: degree `order`, leading
+coefficient one, constant term zero and each coefficient in [0, 2^order), as
+d(G,k) <= C(order,k) < 2^order.  Stated bases pass it before they are
+packed; only the values the pass hands out are unpacked, and they pass it too.
+Inside the pass a value is kept when _Packing.accepts it: read as B-bit
+digits, digit `order` is one with nothing above, digit 0 is zero and no digit
+reaches 2^(top+1).  By induction every kept value has exact digits, the
+right degree, leading coefficient one, constant term zero and coefficients
+in [0, 2^(top+1)): a right-hand side over kept values has every coefficient
+below weight * 2^(top+1) <= 2^(B-1) in magnitude, so its digits, read
+unsigned, are exactly its coefficients.  A value _validated passes has its
+coefficients below 2^order <= 2^(top+1) and is accepted, so a refused value
+always fails _validated: its identity is evaluated again on DomPoly from the
+window values and handed to _validated, which raises with its own message.
 """
 from __future__ import annotations
 
@@ -206,9 +206,8 @@ class Identity:
     def rhs(self, n: int, value: Callable[[str, int], object], shift: int | None = None):
         """Right-hand side at n, with value(stream, k) supplying each referenced term.
 
-        With `shift`, every term is the int D(X, 2^shift) and so is the result:
-        each multiplier is applied power by power of x, joined by Horner steps of
-        `shift` bits (see the module docstring).  shift = 0 evaluates at x = 1.
+        With `shift`, every term is the int D(X, 2^shift) and so is the result
+        (see the module docstring).
         """
         groups = [reduce(add, (value(s, n + off) for s, off in refs)) for _, refs in self.terms]
         if shift is None:
@@ -373,6 +372,11 @@ def _validated(p: DomPoly, order: int, identity: str) -> DomPoly:
     return p
 
 
+def _name(stream: str, k: int) -> str:
+    """The stream value's name in a refusal message."""
+    return f"{stream}-chain n={k}" if stream in CHAIN_FAMILIES else f"{stream} stream n={k}"
+
+
 def _adopted(family: str) -> dict[str, Identity]:
     """The identity that drives each stream of the family."""
     return {e.lhs: e for e in IDENTITIES[family] if e.adopted}
@@ -401,8 +405,7 @@ class _Packing:
                         for i in range(0, len(raw), width)])
 
     def accepts(self, v: int, order: int) -> bool:
-        """Whether v, read as digits, has digit `order` one and none above (so v > 0),
-        digit 0 zero, and no digit at or above 2^(top+1)."""
+        """Whether the pass keeps v as a value of `order` vertices (see the module docstring)."""
         return v >> order * self.bits == 1 and not v & self._low and not v & self._bad
 
 
@@ -426,18 +429,19 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
         window[k] = cur = {}
         for s in STREAMS[family]:
             rule, order = rules[s], family_order(s, k)
-            name = f"{s}-chain n={k}" if s in CHAIN_FAMILIES else f"{s} stream n={k}"
             if k >= rule.start:
                 v = rule.rhs(k, value, packing.bits)
                 if not packing.accepts(v, order):
                     # the same identity on DomPoly, over window values that were all
-                    # accepted: a refused value always fails _validated, so this raises
-                    _validated(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])), order, name)
+                    # kept: a refused value always fails _validated, so this raises
+                    _validated(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])), order,
+                               _name(s, k))
             else:
-                v = _validated(_BASES[s][k], order, name).eval_at(1 << packing.bits)
+                v = _validated(_BASES[s][k], order, _name(s, k)).eval_at(1 << packing.bits)
             cur[s] = v
         if k >= lo:
-            yield k, {s: packing.unpack(cur[s]) for s in streams}
+            yield k, {s: _validated(packing.unpack(cur[s]), family_order(s, k), _name(s, k))
+                      for s in streams}
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:

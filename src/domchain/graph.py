@@ -214,9 +214,9 @@ MAX_EDGE_LIST_VERTICES = 10_000
 
 
 def parse_edge_list(text: str) -> Graph:
+    """The graph of edge-list text; the rows are built as the edges are read."""
     header = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    found = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -234,6 +234,7 @@ def parse_edge_list(text: str) -> Graph:
             if header[0] > MAX_EDGE_LIST_VERTICES:
                 raise EdgeListParseError(
                     line_no, f"header declares {header[0]} vertices, limit is {MAX_EDGE_LIST_VERTICES}")
+            adj = [0] * header[0]
             continue
         if len(fields) != 2:
             raise EdgeListParseError(line_no, f"expected edge 'u v', got {line!r}")
@@ -246,16 +247,16 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(line_no, f"vertex id out of range [0,{n}) in {line!r}")
         if u == v:
             raise EdgeListParseError(line_no, f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if adj[u] >> v & 1:
             raise EdgeListParseError(line_no, f"duplicate edge ({u},{v})")
-        seen.add(key)
-        edges.append((u, v))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        found += 1
     if header is None:
         raise EdgeListParseError(1, "empty input: missing 'n m' header")
-    if len(edges) != header[1]:
-        raise EdgeListParseError(1, f"header declares {header[1]} edges, found {len(edges)}")
-    return Graph.from_edges(header[0], edges)
+    if found != header[1]:
+        raise EdgeListParseError(1, f"header declares {header[1]} edges, found {found}")
+    return Graph(header[0], tuple(adj))
 
 
 def format_edge_list(g: Graph) -> str:

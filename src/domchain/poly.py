@@ -44,8 +44,6 @@ class DomPoly:
 
     @classmethod
     def monomial(cls, a: int, k: int) -> "DomPoly":
-        if a == 0:
-            return cls()
         return cls((0,) * k + (a,))
 
     # -- structure ------------------------------------------------------------
@@ -84,10 +82,7 @@ class DomPoly:
         return DomPoly(out)
 
     def __sub__(self, other: "DomPoly") -> "DomPoly":
-        out = list(self._c) + [0] * max(0, len(other._c) - len(self._c))
-        for i, c in enumerate(other._c):
-            out[i] -= c
-        return DomPoly(out)
+        return self + -other
 
     def __neg__(self) -> "DomPoly":
         return DomPoly(-c for c in self._c)
@@ -104,8 +99,6 @@ class DomPoly:
 
     def scale_by_monomial(self, a: int, k: int) -> "DomPoly":
         """self * a*x^k."""
-        if a == 0 or not self._c:
-            return DomPoly()
         return DomPoly([0] * k + [a * c for c in self._c])
 
     def eval_at(self, t: int) -> int:

@@ -258,11 +258,20 @@ class TestEdgeListFormat:
     def test_zero_vertices(self):
         assert parse_edge_list("0 0\n").n == 0
 
+    def test_rows_are_built_while_reading(self, monkeypatch):
+        want = path_graph(3)
+
+        def refuse(*args):
+            raise AssertionError("parse_edge_list rebuilt the graph from an edge list")
+        monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+        assert parse_edge_list("3 2\n0 1\n1 2\n") == want
+
     @pytest.mark.parametrize("text,line", [
         ("", 1),
         ("3\n", 1),
         ("3 x\n", 1),
         ("3 2\n0 1\n0 1\n", 3),
+        ("3 2\n0 1\n1 0\n", 3),
         ("3 1\n1 1\n", 2),
         ("3 1\n0 3\n", 2),
         ("3 1\n0 a\n", 2),

@@ -128,6 +128,15 @@ def test_heavy_multiplier_is_read_exactly(monkeypatch):
     assert str(ei.value) == f"T-chain n=3: coefficient {want} exceeds 2^7"
 
 
+def test_returned_value_passes_the_subset_count_rule(monkeypatch):
+    # T_3's coefficients stay below 2^(top+1) = 2^8, so the pass keeps the value,
+    # but 212 is not below 2^7, so it is refused before it is returned
+    _with_multiplier(monkeypatch, "T", "T", "x^2+2x", "x^2+20x")
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("T", 3)
+    assert str(ei.value) == "T-chain n=3: coefficient 212 exceeds 2^7"
+
+
 def test_base_coefficient_above_subset_count_is_rejected(monkeypatch):
     monkeypatch.setitem(families._BASES["Qtri"], 0, _p(f"x^3+3x^2+{1 << 40}x"))
     with pytest.raises(RecurrenceConfigError) as ei:
