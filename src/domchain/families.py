@@ -48,6 +48,9 @@ unsigned, are exactly its coefficients.  A value _validated passes has its
 coefficients below 2^order <= 2^(top+1) and is accepted, so a refused value
 always fails _validated: its identity is evaluated again on DomPoly from the
 window values and handed to _validated, which raises with its own message.
+Before a refusal is raised, a pass to the n below it validates every value
+there, so a refusal names the first n at which any value fails _validated,
+whatever range was asked.
 """
 from __future__ import annotations
 
@@ -427,21 +430,29 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     for k in range(_first_n(family), hi + 1):
         window.pop(k - depth - 1, None)
         window[k] = cur = {}
-        for s in STREAMS[family]:
-            rule, order = rules[s], family_order(s, k)
-            if k >= rule.start:
-                v = rule.rhs(k, value, packing.bits)
-                if not packing.accepts(v, order):
-                    # the same identity on DomPoly, over window values that were all
-                    # kept: a refused value always fails _validated, so this raises
-                    _validated(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])), order,
-                               _name(s, k))
-            else:
-                v = _validated(_BASES[s][k], order, _name(s, k)).eval_at(1 << packing.bits)
-            cur[s] = v
-        if k >= lo:
-            yield k, {s: _validated(packing.unpack(cur[s]), family_order(s, k), _name(s, k))
-                      for s in streams}
+        try:
+            for s in STREAMS[family]:
+                rule, order = rules[s], family_order(s, k)
+                if k >= rule.start:
+                    v = rule.rhs(k, value, packing.bits)
+                    if not packing.accepts(v, order):
+                        # the same identity on DomPoly, over window values that were all
+                        # kept: a refused value always fails _validated, so this raises
+                        _validated(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])),
+                                   order, _name(s, k))
+                else:
+                    v = _validated(_BASES[s][k], order, _name(s, k)).eval_at(1 << packing.bits)
+                cur[s] = v
+            if k < lo:
+                continue
+            out = {s: _validated(packing.unpack(cur[s]), family_order(s, k), _name(s, k))
+                   for s in streams}
+        except RecurrenceConfigError:
+            # a kept value below k may still fail _validated: a pass to k - 1 checks each
+            for _ in stream_values(family, _first_n(family), k - 1, STREAMS[family]):
+                pass
+            raise
+        yield k, out
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:

@@ -12,10 +12,15 @@ a high half.  The unions of all low subsets are tabulated once with numpy,
 laid out by popcount.  The high assignments are grouped by their union mask
 and each distinct mask is checked against the low table in one vectorized
 pass; `np.add.reduceat` over the popcount segments yields the size
-histogram, which is convolved with the group's high-size counts.  When some
-target vertex lies in no candidate mask, no subset covers the target, and the
-scan returns zero counts before it builds any table.  Counts stay below 2^30,
-so int64 is exact.
+histogram, which is convolved with the group's high-size counts.  The table
+uses the narrowest unsigned word that holds the target, as every pass reads
+all of it.  Per-size hits are summed in int32, half the width of numpy's
+default sum, which is exact because a segment holds at most 2^_LOW_BITS
+entries.  A group whose union with the whole low table misses the target is
+skipped, since no low subset can complete it.  When some target vertex lies
+in no candidate mask, no subset covers the target, and the scan returns zero
+counts before it builds any table.  Counts stay below 2^30, so int64 is
+exact.
 """
 from __future__ import annotations
 
@@ -95,12 +100,9 @@ def _scan(closed: list[int], target: int) -> np.ndarray:
                 acc = grown.get(key)
                 grown[key] = by_size if acc is None else [a + b for a, b in zip(acc, by_size)]
         groups = grown
-    buf = np.empty_like(union)
-    hit = np.empty(union.shape, dtype=np.uint8)
     for mask, sizes in groups.items():
         if mask | low_all == target:
-            np.bitwise_or(union, mask, out=buf)
-            np.equal(buf, target, out=hit)
+            hit = (union | mask) == target
             counts += np.convolve(np.add.reduceat(hit, starts, dtype=np.int32), sizes)
     return counts
 

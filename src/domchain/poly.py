@@ -88,8 +88,6 @@ class DomPoly:
         return DomPoly(-c for c in self._c)
 
     def __mul__(self, other: "DomPoly") -> "DomPoly":
-        if not self._c or not other._c:
-            return DomPoly()
         out = [0] * (len(self._c) + len(other._c) - 1)
         for i, a in enumerate(self._c):
             if a:

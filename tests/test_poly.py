@@ -71,6 +71,7 @@ class TestRingAxioms:
         assert a * (b + c) == a * b + a * c
         assert a - b == a + (-b)
         assert a * DomPoly.one() == a
+        assert (a * DomPoly.zero()).is_zero() and (DomPoly.zero() * a).is_zero()
         assert (a - a).is_zero()
 
     @settings(max_examples=80, deadline=None)

@@ -128,12 +128,13 @@ def test_heavy_multiplier_is_read_exactly(monkeypatch):
     assert str(ei.value) == f"T-chain n=3: coefficient {want} exceeds 2^7"
 
 
-def test_returned_value_passes_the_subset_count_rule(monkeypatch):
-    # T_3's coefficients stay below 2^(top+1) = 2^8, so the pass keeps the value,
-    # but 212 is not below 2^7, so it is refused before it is returned
+@pytest.mark.parametrize("hi", [3, 5, 8])
+def test_returned_value_passes_the_subset_count_rule(monkeypatch, hi):
+    # T_3's coefficients stay below 2^(top+1), so the pass keeps the value, but 212
+    # is not below 2^7: it is refused, whether it is returned or only looked back to
     _with_multiplier(monkeypatch, "T", "T", "x^2+2x", "x^2+20x")
     with pytest.raises(RecurrenceConfigError) as ei:
-        family_polynomial("T", 3)
+        family_polynomial("T", hi)
     assert str(ei.value) == "T-chain n=3: coefficient 212 exceeds 2^7"
 
 
