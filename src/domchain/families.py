@@ -50,7 +50,10 @@ always fails _validated: its identity is evaluated again on DomPoly from the
 window values and handed to _validated, which raises with its own message.
 Before a refusal is raised, a pass to the n below it validates every value
 there, so a refusal names the first n at which any value fails _validated,
-whatever range was asked.
+whatever range was asked.  One exact rule, a mask per vertex count, would
+replace this mask, the check of returned values and that pass, and
+Identity.rhs could rebuild _by_power on each call; neither simpler form is
+used because both measured slower.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ from functools import cached_property, reduce
 from operator import add
 from typing import Callable, Iterable
 
-from .graph import Graph, coalesce
+from .graph import MAX_EDGE_LIST_VERTICES, Graph, coalesce
 from .poly import DomPoly
 
 CHAIN_FAMILIES = ("T", "Q", "O")
@@ -122,44 +125,57 @@ def _first_n(family: str, recurrence: bool = False) -> int:
 
 
 def check_n(family: str, n: int, recurrence: bool = False) -> None:
-    """Refuse an n below the family's first graph n or, with `recurrence`, recurrence n."""
+    """Refuse an n below the first graph n (or `recurrence` n), then an oversized member."""
     low = _first_n(family, recurrence)
     if n < low:
         what = "recurrences" if recurrence else "graphs"
         raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
+    order = family_order(family, n)
+    if order > MAX_EDGE_LIST_VERTICES:
+        raise ValueError(f"family {family} at n={n} has {order} vertices, "
+                         f"limit is {MAX_EDGE_LIST_VERTICES}")
 
 
 # -- constructors ----------------------------------------------------------
 
+def _gadget(kind: str) -> Graph:
+    """The named attachment graph."""
+    if kind not in _GADGETS:
+        raise ValueError(f"unknown attachment kind {kind!r}")
+    return _GADGETS[kind]
+
+
+def _attached(family: str, attachment: str | None) -> Graph | None:
+    """The gadget at the family member's terminal, None for a plain chain."""
+    if family in CHAIN_FAMILIES:
+        if attachment is not None:
+            raise ValueError("plain chains take no attachment")
+        return None
+    _first_n(family)  # refuses an unknown family
+    return _gadget(attachment or ADOPTED_ATTACHMENT[family])
+
+
 def family_order(family: str, n: int, attachment: str | None = None) -> int:
     """Vertex count of the family member; `attachment` overrides the adopted shape."""
-    order = _BLOCKS[family[0]][0] * n + 1
-    if family in CHAIN_FAMILIES:
-        return order
-    return order + _GADGETS[attachment or ADOPTED_ATTACHMENT[family]].n - 1
+    gadget = _attached(family, attachment)
+    return _BLOCKS[family[0]][0] * n + (1 if gadget is None else gadget.n)
 
 
 def attach_gadget(g: Graph, v: int, kind: str) -> Graph:
     """Attach the named structure at vertex v (new vertices labeled upward)."""
-    if kind not in _GADGETS:
-        raise ValueError(f"unknown attachment kind {kind!r}")
-    return coalesce(g, v, _GADGETS[kind], 0)
+    return coalesce(g, v, _gadget(kind), 0)
 
 
 def build_chain(family: str, n: int, attachment: str | None = None) -> Graph:
     """Build a chain or gadget graph; `attachment` overrides the adopted shape."""
     check_n(family, n)
+    gadget = _attached(family, attachment)
     width, block = _BLOCKS[family[0]]
     # equal to coalescing n blocks end to end (local width onto the next local 0),
     # but one pass over the edges instead of a copy per block
     chain = Graph.from_edges(
         width * n + 1, [(width * k + a, width * k + b) for k in range(n) for a, b in block])
-    if family in CHAIN_FAMILIES:
-        if attachment is not None:
-            raise ValueError("plain chains take no attachment")
-        return chain
-    kind = attachment or ADOPTED_ATTACHMENT[family]
-    return attach_gadget(chain, width * n, kind)  # the chain's free end
+    return chain if gadget is None else coalesce(chain, width * n, gadget, 0)  # at the free end
 
 
 def triangle_chain(n: int) -> Graph:
@@ -419,6 +435,11 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     held packed with one B for the pass; only the listed streams at k >= lo are
     unpacked, and only the last k the identities look back to are kept.
     """
+    first = _first_n(family)
+    check_n(family, hi)
+    for s in streams:
+        if s not in STREAMS.get(family, ()):
+            raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
     rules = _adopted(family)
     depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
     packing = _Packing(rules.values(), max(family_order(s, hi) for s in STREAMS[family]))
@@ -427,7 +448,7 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     def value(stream: str, k: int) -> int:
         return window[k][stream]
 
-    for k in range(_first_n(family), hi + 1):
+    for k in range(first, hi + 1):
         window.pop(k - depth - 1, None)
         window[k] = cur = {}
         try:
@@ -449,8 +470,9 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
                    for s in streams}
         except RecurrenceConfigError:
             # a kept value below k may still fail _validated: a pass to k - 1 checks each
-            for _ in stream_values(family, _first_n(family), k - 1, STREAMS[family]):
-                pass
+            if k > first:
+                for _ in stream_values(family, first, k - 1, STREAMS[family]):
+                    pass
             raise
         yield k, out
 
@@ -483,6 +505,7 @@ def t_count_sequence(n_max: int) -> list[int]:
     """t_0..t_{n_max}: total dominating-set counts, the T identity evaluated at x = 1."""
     if n_max < 0:
         raise ValueError(f"n_max >= 0 required, got {n_max}")
+    check_n("T", max(n_max, 1))  # T_0 is the formal seed, not a graph
     rule = _adopted("T")["T"]
     seq = [T0_COUNT_SEED, _BASES["T"][1].eval_at(1)]
     while len(seq) <= n_max:
@@ -493,7 +516,6 @@ def t_count_sequence(n_max: int) -> list[int]:
 # -- Q and O chains: coupled streams ------------------------------------------------
 
 def _states(family: str, n: int) -> list[dict[str, DomPoly]]:
-    check_n(family, n)
     return [v for _, v in stream_values(family, 0, n, STREAMS[family])]
 
 

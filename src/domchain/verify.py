@@ -109,14 +109,17 @@ def verify_families(
 ) -> VerificationReport:
     """Check every chain identity against the oracle for all n within the cap.
 
-    Raises ValueError for a cap outside 0..HARD_CAP or max_n < 1, and
-    EnumerationCapError when a selected family's n = 1 graphs do not all fit
-    the cap, so no run passes with no checks.
+    Raises ValueError for a cap outside 0..HARD_CAP, max_n < 1 or an empty
+    family_subset (None selects every family), and EnumerationCapError when
+    a selected family's n = 1 graphs do not all fit the cap, so no run passes
+    with no checks.
     """
     cap = oracle.check_cap(cap)
     if max_n < 1:
         raise ValueError(f"max_n >= 1 required, got {max_n}")
-    fams = tuple(family_subset) if family_subset else families.CHAIN_FAMILIES
+    fams = families.CHAIN_FAMILIES if family_subset is None else tuple(family_subset)
+    if not fams:
+        raise ValueError("family_subset selects no family, so there is nothing to check")
 
     def largest(fam: str, n: int) -> int:
         """Vertex count of the largest graph in the family's table at n."""

@@ -98,6 +98,45 @@ class TestConstructors:
         with pytest.raises(ValueError, match=f"recurrences start at n = {rec_lo}, got"):
             family_polynomials(fam, rec_lo, rec_lo - 1)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: family_order("X", 1), "unknown family 'X'; expected one of ("),
+        (lambda: family_order("Q+e", 1, "bogus"), "unknown attachment kind 'bogus'"),
+        (lambda: family_order("Q", 1, "pendant"), "plain chains take no attachment"),
+        (lambda: next(families.stream_values("Q+e", 0, 2, ("Q+e",))),
+         "no stream 'Q+e' in the Q+e system; systems are {"),
+        (lambda: next(families.stream_values("Q", 0, 2, ("O",))),
+         "no stream 'O' in the Q system; systems are {"),
+    ], ids=["unknown family", "unknown kind", "plain with kind", "gadget system", "foreign stream"])
+    def test_unknown_names_are_input_errors(self, call, message):
+        with pytest.raises(ValueError) as ei:
+            call()
+        assert str(ei.value).startswith(message)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_chain("T", 5000), "family T at n=5000 has 10001 vertices"),
+        (lambda: t_count_sequence(5000), "family T at n=5000 has 10001 vertices"),
+        (lambda: family_polynomial("Q", 3334), "family Q at n=3334 has 10003 vertices"),
+        (lambda: q_stream(3334), "family Q at n=3334 has 10003 vertices"),
+        (lambda: next(families.stream_values("Q", 1, 3334, ("Q",))),
+         "family Q at n=3334 has 10003 vertices"),
+    ], ids=["build_chain", "t_count_sequence", "family_polynomial", "q_stream", "stream_values"])
+    def test_member_past_vertex_limit_is_refused_before_building(self, monkeypatch, call,
+                                                                 message):
+        # the same rule and message as the CLI's; no graph or packed pass is started
+        def no_work(*args, **kwargs):
+            raise AssertionError("a graph or a stream pass was started")
+
+        monkeypatch.setattr(families.Graph, "from_edges", no_work)
+        monkeypatch.setattr(families, "_Packing", no_work)
+        with pytest.raises(ValueError) as ei:
+            call()
+        assert str(ei.value) == f"{message}, limit is 10000"
+
+    def test_vertex_limit_is_inclusive(self):
+        # T_4999 has 9999 vertices
+        assert build_chain("T", 4999).n == 9999
+        assert len(t_count_sequence(4999)) == 5000
+
 
 class TestTriangleChain:
     def test_stated_bases(self):
@@ -249,6 +288,12 @@ def test_verify_refuses_cap_before_building(monkeypatch, cap):
 def test_verify_refuses_unknown_family():
     with pytest.raises(ValueError, match="^unknown family 'Z'; expected T, Q, or O$"):
         verify.verify_families(family_subset=("Z",))
+
+
+def test_verify_refuses_an_empty_family_selection():
+    # only None means every family; an empty selection would pass with no checks
+    with pytest.raises(ValueError, match="^family_subset selects no family"):
+        verify.verify_families(max_n=1, family_subset=())
 
 
 @pytest.mark.parametrize("stream, k", [(s, k) for s, bases in families._BASES.items()
