@@ -1,7 +1,7 @@
 """Command-line front end: compute, verify, sequence, bench.
 
 Exit codes: 0 success / all-match, 1 usage or input error, 2 verification
-mismatch, 3 enumeration cap exceeded.
+mismatch or a recurrence failing its own check, 3 enumeration cap exceeded.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import time
 
 from . import decompose, families, oracle, verify
 from .graph import parse_edge_list
-from .poly import DomPoly
+from .poly import DomPoly, ExactDivisionError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,8 +95,7 @@ def cmd_compute(args) -> int:
         if args.method == "recurrence":
             polys = families.family_polynomials(args.family, ns[0], ns[-1])
         else:
-            for n in (ns[0], ns[-1]):
-                families.check_n(args.family, n)
+            families.check_n(args.family, ns[0], ns[-1])
             if args.method == "oracle":
                 for n in ns:
                     oracle.check_order(families.family_order(args.family, n), cap)
@@ -172,8 +171,7 @@ def cmd_sequence(args) -> int:
 def cmd_bench(args) -> int:
     cap = oracle.check_cap(args.cap)
     ns = _parse_range(args.n_range)
-    for n in (ns[0], ns[-1]):
-        families.check_n(args.family, n, recurrence=True)
+    families.check_n(args.family, ns[0], ns[-1], recurrence=True)
     rows = []
     mismatch = False
     for n in ns:
@@ -258,6 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.EnumerationCapError as e:
         print(f"domchain: {e}", file=sys.stderr)
         return EXIT_CAP
+    except (families.RecurrenceConfigError, ExactDivisionError) as e:
+        # a closed recurrence or the edge identity failed its own check
+        print(f"domchain: {e}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (ValueError, OSError) as e:  # EdgeListParseError is a ValueError
         print(f"domchain: error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Cactus chain families, built from two tables, and their closed recurrence systems.
+"""Cactus chain families, built from three tables, and their closed recurrence systems.
 
 A chain family is one block repeated n times (_BLOCKS: a width and the block's
 edges in local labels, cut vertices at local 0 and width); block k puts local
@@ -6,11 +6,11 @@ i at vertex width*k + i, so the free terminal is vertex width*n.  T chains
 triangles, Q (para) squares cut at opposite corners, O (ortho) squares cut at
 adjacent corners.  An attachment kind is one small graph (_GADGETS) whose
 vertex 0 is coalesced with the vertex it attaches at, so its i >= 1 become
-new vertices in order.  Each gadget family attaches its adopted kind at the
-terminal: X+e a pendant vertex, Xtri a triangle, X2 a pendant path of length
-2, Qp two pendant vertices, Op a diamond (K4 minus an edge) sharing a
-degree-3 vertex.  Graphs, vertex counts and terminals are all read from
-these two tables.
+new vertices in order.  Each gadget family attaches its adopted kind
+(_SYSTEMS) at the terminal: X+e a pendant vertex, Xtri a triangle, X2 a
+pendant path of length 2, Qp two pendant vertices, Op a diamond (K4 minus an
+edge) sharing a degree-3 vertex.  Graphs, vertex counts and terminals are all
+read from these three tables.
 
 The X2/Qp/Op shapes are fixed by oracle arbitration of the published
 identities, not by the stated one-line descriptions: the two-pendant star
@@ -65,15 +65,20 @@ from typing import Callable, Iterable
 from .graph import MAX_EDGE_LIST_VERTICES, Graph, coalesce
 from .poly import DomPoly
 
-CHAIN_FAMILIES = ("T", "Q", "O")
-# the streams of each closed system, in evaluation order (no stream refers to
-# a later one at the same n)
-STREAMS = {
-    "T": ("T",),
-    "Q": ("Q", "Q+e", "Qtri", "Q2", "Qp"),
-    "O": ("O", "O+e", "Otri", "O2", "Op"),
+# each closed system's streams in evaluation order (no stream refers to a later
+# one at the same n), each with its adopted attachment kind (None: the plain
+# chain); the kinds are adopted by oracle arbitration, see the module docstring
+# and the errata below
+_SYSTEMS = {
+    "T": {"T": None},
+    "Q": {"Q": None, "Q+e": "pendant", "Qtri": "triangle", "Q2": "pendant_path",
+          "Qp": "two_pendants"},
+    "O": {"O": None, "O+e": "pendant", "Otri": "triangle", "O2": "pendant_path",
+          "Op": "diamond"},
 }
-GADGET_FAMILIES = STREAMS["Q"][1:] + STREAMS["O"][1:]
+CHAIN_FAMILIES = tuple(_SYSTEMS)
+STREAMS = {system: tuple(streams) for system, streams in _SYSTEMS.items()}
+GADGET_FAMILIES = tuple(s for streams in STREAMS.values() for s in streams[1:])
 FAMILY_NAMES = CHAIN_FAMILIES + GADGET_FAMILIES
 
 # family -> (width, block edges in local labels 0..width)
@@ -91,18 +96,6 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
     "two_pendants": ((0, 1), (0, 2)),
     "diamond": ((0, 1), (1, 2), (2, 0), (0, 3), (2, 3)),  # 0 and 2: the degree-3 pair
 }.items()}
-
-# adopted by oracle arbitration; see module docstring and the errata below
-ADOPTED_ATTACHMENT = {
-    "Q+e": "pendant",
-    "Qtri": "triangle",
-    "Q2": "pendant_path",
-    "Qp": "two_pendants",
-    "O+e": "pendant",
-    "Otri": "triangle",
-    "O2": "pendant_path",
-    "Op": "diamond",
-}
 
 
 class RecurrenceConfigError(RuntimeError):
@@ -124,16 +117,19 @@ def _first_n(family: str, recurrence: bool = False) -> int:
     return 1 if family == "T" or (recurrence and family in CHAIN_FAMILIES) else 0
 
 
-def check_n(family: str, n: int, recurrence: bool = False) -> None:
-    """Refuse an n below the first graph n (or `recurrence` n), then an oversized member."""
+def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
+    """Refuse, for each n in turn, an n below the first graph n (or `recurrence` n),
+    then an oversized member; return the vertex count of the last member."""
     low = _first_n(family, recurrence)
-    if n < low:
-        what = "recurrences" if recurrence else "graphs"
-        raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
-    order = family_order(family, n)
-    if order > MAX_EDGE_LIST_VERTICES:
-        raise ValueError(f"family {family} at n={n} has {order} vertices, "
-                         f"limit is {MAX_EDGE_LIST_VERTICES}")
+    for n in ns:
+        if n < low:
+            what = "recurrences" if recurrence else "graphs"
+            raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
+        order = family_order(family, n)
+        if order > MAX_EDGE_LIST_VERTICES:
+            raise ValueError(f"family {family} at n={n} has {order} vertices, "
+                             f"limit is {MAX_EDGE_LIST_VERTICES}")
+    return order
 
 
 # -- constructors ----------------------------------------------------------
@@ -147,12 +143,13 @@ def _gadget(kind: str) -> Graph:
 
 def _attached(family: str, attachment: str | None) -> Graph | None:
     """The gadget at the family member's terminal, None for a plain chain."""
-    if family in CHAIN_FAMILIES:
+    _first_n(family)  # refuses an unknown family
+    adopted = _SYSTEMS[family[0]][family]
+    if adopted is None:
         if attachment is not None:
             raise ValueError("plain chains take no attachment")
         return None
-    _first_n(family)  # refuses an unknown family
-    return _gadget(attachment or ADOPTED_ATTACHMENT[family])
+    return _gadget(attachment or adopted)
 
 
 def family_order(family: str, n: int, attachment: str | None = None) -> int:
@@ -436,13 +433,13 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     unpacked, and only the last k the identities look back to are kept.
     """
     first = _first_n(family)
-    check_n(family, hi)
     for s in streams:
         if s not in STREAMS.get(family, ()):
             raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
+    top = max(check_n(s, hi) for s in STREAMS[family])  # every stream the pass packs
     rules = _adopted(family)
     depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
-    packing = _Packing(rules.values(), max(family_order(s, hi) for s in STREAMS[family]))
+    packing = _Packing(rules.values(), top)
     window: dict[int, dict[str, int]] = {}
 
     def value(stream: str, k: int) -> int:
@@ -479,8 +476,7 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
     """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
-    for n in (lo, hi):
-        check_n(family, n, recurrence=True)
+    check_n(family, lo, hi, recurrence=True)
     return [v[family] for _, v in stream_values(family[0], lo, hi, (family,))]
 
 

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 import domchain
-from domchain import cli, families
+from domchain import cli, decompose, families
 from domchain.families import FAMILY_NAMES, t_polynomial
-from domchain.graph import complete_graph, format_edge_list
+from domchain.graph import complete_graph, format_edge_list, path_graph
 from domchain.poly import DomPoly
 
 
@@ -175,6 +176,28 @@ class TestCompute:
                              "--method", "recurrence")
         assert code == 1 and out == ""
         assert "start at n = 1" in err
+
+
+class TestInternalCheckFailures:
+    """A closed recurrence or the edge identity failing its own check exits 2, not a traceback."""
+
+    def test_recurrence_value_refused(self, capsys, monkeypatch):
+        rule, = families.IDENTITIES["T"]
+        (_, refs), *rest = rule.terms
+        bad = replace(rule, terms=((DomPoly.from_text("x^2+20x"), refs), *rest))
+        monkeypatch.setitem(families.IDENTITIES, "T", (bad,))
+        code, out, err = run(capsys, "compute", "--family", "T", "--n", "5",
+                             "--method", "recurrence")
+        assert (code, out, err) == (2, "", "domchain: T-chain n=3: coefficient 212 exceeds 2^7\n")
+
+    def test_edge_bracket_not_divisible(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(decompose, "edge_recurrence_bracket",
+                            lambda g, u, v, **kw: (DomPoly.x(), DomPoly.one()))
+        path = tmp_path / "p3.edges"
+        path.write_text(format_edge_list(path_graph(3)))
+        code, out, err = run(capsys, "compute", "--file", str(path), "--method", "edge")
+        assert (code, out, err) == (
+            2, "", "domchain: (x-1) does not divide polynomial: remainder 1\n")
 
 
 class TestVerify:

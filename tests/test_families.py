@@ -137,6 +137,29 @@ class TestConstructors:
         assert build_chain("T", 4999).n == 9999
         assert len(t_count_sequence(4999)) == 5000
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: o_stream(3333), "family O+e at n=3333 has 10001 vertices"),
+        (lambda: family_polynomial("O", 3333), "family O+e at n=3333 has 10001 vertices"),
+        (lambda: next(families.stream_values("Q", 3333, 3333, ("Q",))),
+         "family Q+e at n=3333 has 10001 vertices"),
+    ], ids=["o_stream", "family_polynomial", "stream_values"])
+    def test_stream_pass_is_refused_by_every_stream_it_packs(self, monkeypatch, call, message):
+        # O_3333 and Q_3333 have 10000 vertices, but the pass also packs their
+        # gadget streams, up to 3 vertices larger
+        def no_work(*args, **kwargs):
+            raise AssertionError("a graph or a stream pass was started")
+
+        monkeypatch.setattr(families.Graph, "from_edges", no_work)
+        monkeypatch.setattr(families, "_Packing", no_work)
+        with pytest.raises(ValueError) as ei:
+            call()
+        assert str(ei.value) == f"{message}, limit is 10000"
+
+    def test_stream_pass_limit_is_inclusive(self):
+        # at n = 3332 every Q and O stream fits, Op_3332 exactly
+        orders = [families.check_n(s, 3332) for s in families.STREAMS["Q"] + families.STREAMS["O"]]
+        assert max(orders) == families.family_order("Op", 3332) == 10000
+
 
 class TestTriangleChain:
     def test_stated_bases(self):
@@ -223,6 +246,24 @@ class TestSquareChains:
         assert len(states) == 4
         assert states[3]["Q"] == q_polynomial(3)
         assert o_stream(2)[2]["O"] == o_polynomial(2)
+
+    @pytest.mark.parametrize("system", CHAIN_FAMILIES)
+    def test_systems_table_fits_the_identities(self, system):
+        # the pass evaluates STREAMS[system] in order at each n, each stream by its
+        # one adopted identity from its start and by stated bases below it
+        order = families.STREAMS[system]
+        adopted = [e for e in IDENTITIES[system] if e.adopted]
+        assert sorted(e.lhs for e in adopted) == sorted(order), \
+            f"each stream of {order} needs exactly one adopted identity"
+        for e in adopted:
+            earlier = order[:order.index(e.lhs)]
+            for s, off in (ref for _, refs in e.terms for ref in refs):
+                assert s in (earlier if off == 0 else order), (
+                    f"{e.label} reads {s} at offset {off}, but STREAMS[{system!r}] "
+                    f"evaluates only {earlier} before {e.lhs}")
+            missing = (set(range(families._first_n(e.lhs), e.start))
+                       - set(families._BASES.get(e.lhs, ())))
+            assert not missing, f"{e.lhs} has no stated base at n in {sorted(missing)}"
 
     def test_stream_records_are_keyed_by_stream_name(self):
         for record in q_stream(3):
