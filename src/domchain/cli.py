@@ -140,18 +140,8 @@ def cmd_verify(args) -> int:
 
 # -- sequence ------------------------------------------------------------------
 
-def _sequence_values(family: str, max_n: int) -> tuple[int, list[int]]:
-    """(start index, counts) of total dominating sets along the family."""
-    if family == "T":
-        return 0, families.t_count_sequence(max_n)
-    families.check_n(family, max_n, recurrence=True)
-    # summed as the pass yields, so only one polynomial is held at a time
-    return 1, [v[family].eval_at(1)
-               for _, v in families.stream_values(family, 1, max_n, (family,))]
-
-
 def cmd_sequence(args) -> int:
-    start, values = _sequence_values(args.family, args.max_n)
+    start, values = families.count_sequence(args.family, args.max_n)
     if args.format == "json":
         out = json.dumps({
             "family": args.family,
@@ -248,9 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_ranges(argv: list[str]) -> list[str]:
+    """argv with each `--n-range X` joined into `--n-range=X`.
+
+    argparse reads a value such as -1:3 as a flag; joined to its option, it
+    reaches the range checks like any other value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--n-range" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_ranges(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except oracle.EnumerationCapError as e:

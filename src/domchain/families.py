@@ -27,41 +27,27 @@ literal-paper variant is an entry with adopted=False that carries its erratum.
 The pass runs on packed integers (Kronecker substitution, as in Harvey,
 arXiv:0712.4046, but packed once per pass rather than once per product):
 each stream value D(X_k, x) is held as the int D(X_k, 2^B), and a base packs
-as its eval_at(2^B).  B is fixed per pass by _digit_bits: the largest stream
-order `top` at the pass's last n, plus bit_length of the largest
-Identity.weight, plus 2, rounded up to whole bytes.  Evaluation at 2^B is a
-ring homomorphism, so Identity.rhs applies a multiplier power by power of x,
-a small-integer combination of the group sums per power joined by `<< B`
-Horner steps, never as one big product; B = 0 evaluates at x = 1.
+as its eval_at(2^B).  Evaluation at 2^B is a ring homomorphism, so
+Identity.rhs applies a multiplier power by power of x, a small-integer
+combination of the group sums per power joined by `<< B` Horner steps, never
+as one big product; B = 0 evaluates at x = 1, the count pass behind
+`sequence`.
 
 _validated owns the rules of a domination polynomial: degree `order`, leading
 coefficient one, constant term zero and each coefficient in [0, 2^order), as
-d(G,k) <= C(order,k) < 2^order.  Stated bases pass it before they are
-packed; only the values the pass hands out are unpacked, and they pass it too.
-Inside the pass a value is kept when _Packing.accepts it: read as B-bit
-digits, digit `order` is one with nothing above, digit 0 is zero and no digit
-reaches 2^(top+1).  By induction every kept value has exact digits, the
-right degree, leading coefficient one, constant term zero and coefficients
-in [0, 2^(top+1)): a right-hand side over kept values has every coefficient
-below weight * 2^(top+1) <= 2^(B-1) in magnitude, so its digits, read
-unsigned, are exactly its coefficients.  A value _validated passes has its
-coefficients below 2^order <= 2^(top+1) and is accepted, so a refused value
-always fails _validated: its identity is evaluated again on DomPoly from the
-window values and handed to _validated, which raises with its own message.
-Before a refusal is raised, a pass to the n below it validates every value
-there, so a refusal names the first n at which any value fails _validated,
-whatever range was asked.  One exact rule, a mask per vertex count, would
-replace this mask, the check of returned values and that pass, and
-Identity.rhs could rebuild _by_power on each call; neither simpler form is
-used because both measured slower.
+d(G,k) <= C(order,k) < 2^order; a system that transfer.certify proves meets
+them for every n, so its pass checks no value and B is its top order rounded
+up to whole bytes, while any other system runs one DomPoly pass whose every
+value passes _validated in evaluation order.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, reduce
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable
 
+from . import transfer
 from .graph import MAX_EDGE_LIST_VERTICES, Graph, coalesce
 from .poly import DomPoly
 
@@ -119,17 +105,22 @@ def _first_n(family: str, recurrence: bool = False) -> int:
 
 def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
     """Refuse, for each n in turn, an n below the first graph n (or `recurrence` n),
-    then an oversized member; return the vertex count of the last member."""
+    then an oversized member or, with `recurrence`, an oversized value of any stream
+    its system's pass packs; return the largest vertex count checked."""
     low = _first_n(family, recurrence)
+    top = 0
     for n in ns:
         if n < low:
             what = "recurrences" if recurrence else "graphs"
             raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
-        order = family_order(family, n)
-        if order > MAX_EDGE_LIST_VERTICES:
-            raise ValueError(f"family {family} at n={n} has {order} vertices, "
-                             f"limit is {MAX_EDGE_LIST_VERTICES}")
-    return order
+        # the family's own member first, so its refusal names it
+        for s in (family, *STREAMS[family[0]]) if recurrence else (family,):
+            order = family_order(s, n)
+            if order > MAX_EDGE_LIST_VERTICES:
+                raise ValueError(f"family {s} at n={n} has {order} vertices, "
+                                 f"limit is {MAX_EDGE_LIST_VERTICES}")
+            top = max(top, order)
+    return top
 
 
 # -- constructors ----------------------------------------------------------
@@ -246,12 +237,6 @@ class Identity:
         top = max(mult.degree for mult, _ in self.terms)
         return tuple(tuple((mult[i], g) for g, (mult, _) in enumerate(self.terms) if mult[i])
                      for i in range(top, -1, -1))
-
-    @property
-    def weight(self) -> int:
-        """Sum over groups of ||multiplier||_1 * (refs in the group): no right-hand-side
-        coefficient exceeds this many times the largest term coefficient in magnitude."""
-        return sum(sum(map(abs, mult.coeffs)) * len(refs) for mult, refs in self.terms)
 
 
 _p = DomPoly.from_text
@@ -398,20 +383,12 @@ def _adopted(family: str) -> dict[str, Identity]:
     return {e.lhs: e for e in IDENTITIES[family] if e.adopted}
 
 
-def _digit_bits(rules: Iterable[Identity], top: int) -> int:
-    """B for a pass over streams of at most `top` vertices (see the module docstring)."""
-    return -(-(top + max(e.weight for e in rules).bit_length() + 2) // 8) * 8
-
-
 class _Packing:
-    """Polynomials as the ints D(p, 2^bits), one `bits` for one stream pass up to `top` vertices."""
+    """Polynomials as the ints D(p, 2^bits), for a certified pass up to `top` vertices."""
 
-    def __init__(self, rules: Iterable[Identity], top: int):
-        self.bits = bits = _digit_bits(rules, top)
-        self._low = (1 << bits) - 1
-        # every bit at or above top + 1 within each of the first top + 1 digits
-        self._bad = int.from_bytes(
-            ((1 << bits) - (2 << top)).to_bytes(bits // 8, "little") * (top + 1), "little")
+    def __init__(self, top: int):
+        # certified coefficients lie in [0, 2^order) with order <= top
+        self.bits = -(-top // 8) * 8
 
     def unpack(self, v: int) -> DomPoly:
         """The polynomial whose coefficients are the B-bit digits of v >= 0, read as byte slices."""
@@ -420,58 +397,55 @@ class _Packing:
         return DomPoly([int.from_bytes(raw[i:i + width], "little")
                         for i in range(0, len(raw), width)])
 
-    def accepts(self, v: int, order: int) -> bool:
-        """Whether the pass keeps v as a value of `order` vertices (see the module docstring)."""
-        return v >> order * self.bits == 1 and not v & self._low and not v & self._bad
+
+def _pass(family: str, hi: int, bits: int | None):
+    """Yield (k, {stream: value}) for every stream of the system, k = first graph n..hi.
+
+    With `bits`, each value is the int D(X_k, 2^bits), unchecked: the system must
+    be certified.  Without, each is a DomPoly that passes _validated, in evaluation
+    order.  Only the last k the identities look back to are kept.
+    """
+    rules = _adopted(family)
+    depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
+    window: dict[int, dict[str, object]] = {}
+
+    def value(stream: str, k: int):
+        return window[k][stream]
+
+    for k in range(_first_n(family), hi + 1):
+        window.pop(k - depth - 1, None)
+        window[k] = cur = {}
+        for s in STREAMS[family]:
+            rule = rules[s]
+            if bits is not None:
+                cur[s] = (rule.rhs(k, value, bits) if k >= rule.start
+                          else _BASES[s][k].eval_at(1 << bits))
+            else:
+                cur[s] = _validated(rule.rhs(k, value) if k >= rule.start else _BASES[s][k],
+                                    family_order(s, k), _name(s, k))
+        yield k, cur
 
 
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
-    """Yield (k, {stream: validated polynomial}) for k = lo..hi, bottom-up from the first graph n.
+    """Yield (k, {stream: polynomial}) for k = lo..hi, bottom-up from the first graph n.
 
-    The one way code outside this module reads a closed system.  Each value is
-    held packed with one B for the pass; only the listed streams at k >= lo are
-    unpacked, and only the last k the identities look back to are kept.
+    The one way code outside this module reads a closed system.  A certified
+    system's values are held packed with one B for the pass, and only the listed
+    streams at k >= lo are unpacked; any other system's pass validates each value.
     """
-    first = _first_n(family)
     for s in streams:
         if s not in STREAMS.get(family, ()):
             raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
     top = max(check_n(s, hi) for s in STREAMS[family])  # every stream the pass packs
-    rules = _adopted(family)
-    depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
-    packing = _Packing(rules.values(), top)
-    window: dict[int, dict[str, int]] = {}
-
-    def value(stream: str, k: int) -> int:
-        return window[k][stream]
-
-    for k in range(first, hi + 1):
-        window.pop(k - depth - 1, None)
-        window[k] = cur = {}
-        try:
-            for s in STREAMS[family]:
-                rule, order = rules[s], family_order(s, k)
-                if k >= rule.start:
-                    v = rule.rhs(k, value, packing.bits)
-                    if not packing.accepts(v, order):
-                        # the same identity on DomPoly, over window values that were all
-                        # kept: a refused value always fails _validated, so this raises
-                        _validated(rule.rhs(k, lambda t, j: packing.unpack(window[j][t])),
-                                   order, _name(s, k))
-                else:
-                    v = _validated(_BASES[s][k], order, _name(s, k)).eval_at(1 << packing.bits)
-                cur[s] = v
-            if k < lo:
-                continue
-            out = {s: _validated(packing.unpack(cur[s]), family_order(s, k), _name(s, k))
-                   for s in streams}
-        except RecurrenceConfigError:
-            # a kept value below k may still fail _validated: a pass to k - 1 checks each
-            if k > first:
-                for _ in stream_values(family, first, k - 1, STREAMS[family]):
-                    pass
-            raise
-        yield k, out
+    if not transfer.certify(family):
+        for k, cur in _pass(family, hi, None):
+            if k >= lo:
+                yield k, {s: cur[s] for s in streams}
+        return
+    packing = _Packing(top)
+    for k, cur in _pass(family, hi, packing.bits):
+        if k >= lo:
+            yield k, {s: packing.unpack(cur[s]) for s in streams}
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
@@ -483,6 +457,21 @@ def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
 def family_polynomial(family: str, n: int) -> DomPoly:
     """Recurrence-path polynomial for any family name, including gadget streams."""
     return family_polynomials(family, n, n)[0]
+
+
+def family_counts(family: str, lo: int, hi: int) -> list[int]:
+    """D(X_n, 1) for n = lo..hi: the count pass (B = 0) of a certified system."""
+    check_n(family, lo, hi, recurrence=True)
+    if not transfer.certify(family[0]):
+        return [v[family].eval_at(1) for _, v in stream_values(family[0], lo, hi, (family,))]
+    return [cur[family] for k, cur in _pass(family[0], hi, 0) if k >= lo]
+
+
+def count_sequence(family: str, max_n: int) -> tuple[int, list[int]]:
+    """(start n, counts): `sequence`'s D(X_n, 1) for n = 1..max_n, T's after its formal seed."""
+    if family == "T":
+        return 0, t_count_sequence(max_n)
+    return 1, family_counts(family, 1, max_n)
 
 
 # -- T chain ----------------------------------------------------------------------
@@ -498,15 +487,10 @@ def t_coefficient_table(n: int) -> list[int]:
 
 
 def t_count_sequence(n_max: int) -> list[int]:
-    """t_0..t_{n_max}: total dominating-set counts, the T identity evaluated at x = 1."""
+    """t_0..t_{n_max}: the formal seed T0_COUNT_SEED, then D(T_n, 1) from the count pass."""
     if n_max < 0:
         raise ValueError(f"n_max >= 0 required, got {n_max}")
-    check_n("T", max(n_max, 1))  # T_0 is the formal seed, not a graph
-    rule = _adopted("T")["T"]
-    seq = [T0_COUNT_SEED, _BASES["T"][1].eval_at(1)]
-    while len(seq) <= n_max:
-        seq.append(rule.rhs(len(seq), lambda _, k: seq[k], shift=0))
-    return seq[: n_max + 1]
+    return [T0_COUNT_SEED, *family_counts("T", 1, max(n_max, 1))][: n_max + 1]
 
 
 # -- Q and O chains: coupled streams ------------------------------------------------

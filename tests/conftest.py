@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,13 @@ def random_disconnected_graph(rng: random.Random, max_total: int = 14) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """perfbench/reference.py: exact values by a frontier DP that shares no code with domchain."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("domchain_test_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

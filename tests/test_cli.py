@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -268,6 +269,17 @@ class TestSequence:
         assert seq <= 2 * one, (seq, one)
 
 
+    @pytest.mark.parametrize("fam", ["Q", "O"])
+    def test_far_end_equals_reference_dp(self, capsys, reference, fam):
+        # the largest admitted n; Q_k is the first 3k + 1 vertices of Q_3332
+        g = families.build_chain(fam, 3332)
+        want = reference.dp_prefix_values(g.n, list(g.adj), 1)[3::3]
+        code, out, _ = run(capsys, "sequence", "--family", fam, "--max-n", "3332")
+        assert code == 0 and out == ", ".join(map(str, want)) + "\n"
+        if fam == "Q":
+            assert hashlib.sha256(out.encode()).hexdigest().startswith("1eb8f7ac0633ec09")
+
+
 class TestBench:
     def test_csv_with_skipped_rows(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "T", "--n-range", "11:12")
@@ -373,6 +385,29 @@ class TestInputBounds:
         monkeypatch.setattr(families, "build_chain", self._no_build)
         code, out, err = run(capsys, "compute", "--family", "Q", "--n-range=-1:30")
         assert (code, out, err) == (1, "", "domchain: error: family Q graphs start at n = 0, got -1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("compute", "--family", "T"), "family T graphs start at n = 1, got -1"),
+        (("bench", "--family", "T"), "family T recurrences start at n = 1, got -1"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    @pytest.mark.parametrize("spelling", [("--n-range", "-1:3"), ("--n-range=-1:3",)],
+                             ids=" ".join)
+    def test_range_below_zero_reaches_first_n_refusal(self, capsys, monkeypatch, argv,
+                                                      message, spelling):
+        # argparse alone reads -1:3 as a flag; both spellings get the first-n refusal
+        monkeypatch.setattr(families, "build_chain", self._no_build)
+        code, out, err = run(capsys, *argv, *spelling)
+        assert (code, out, err) == (1, "", f"domchain: error: {message}\n")
+
+    def test_bench_refuses_pass_wide_limit_before_timing(self, capsys, monkeypatch):
+        # Q_3332 fits, but the pass to n = 3333 packs Q+e_3333: refused before any row
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a recurrence was run")
+
+        monkeypatch.setattr(families, "family_polynomial", no_pass)
+        code, out, err = run(capsys, "bench", "--family", "Q", "--n-range", "3332:3333")
+        assert (code, out, err) == (
+            1, "", "domchain: error: family Q+e at n=3333 has 10001 vertices, limit is 10000\n")
 
     @staticmethod
     def _compute_complete(tmp_path, n, method, seconds=30.0, limit=250):

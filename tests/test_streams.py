@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from domchain import families, oracle
+from domchain import families, oracle, transfer
 from domchain.families import (
     CHAIN_FAMILIES,
     FAMILY_NAMES,
@@ -107,15 +107,13 @@ def test_wrong_multiplier_is_rejected(monkeypatch, fam, lhs, old, new, message):
 
 # -- packed evaluation ---------------------------------------------------------------
 
-def test_digit_bits_follow_the_largest_weight():
-    rules = list(families._adopted("Q").values())
-    heavy = families._identity("Q", [("1000x^2+x", [("Q", -1), ("Qp", -1)])], 1, "synthetic")
-    assert max(e.weight for e in rules) == 17 and heavy.weight == 2002
-    for top in (4, 101, 830):
-        bits = families._digit_bits(rules, top)
-        assert bits % 8 == 0 and top + 7 <= bits < top + 15  # bit_length(17) + 2 = 7
-        heavy_bits = families._digit_bits([*rules, heavy], top)
-        assert heavy_bits > bits and heavy_bits >= top + 13  # bit_length(2002) + 2 = 13
+@pytest.mark.parametrize("top", [1, 8, 9, 101, 830])
+def test_packing_round_trips_every_coefficient_below_two_to_the_top(top):
+    # B is top rounded up to whole bytes; digits 0, 1, 2^top - 1 and a long zero run
+    packing = families._Packing(top)
+    assert packing.bits % 8 == 0 and top <= packing.bits < top + 8
+    p = DomPoly([0, (1 << top) - 1, *[0] * 20, 1, (1 << top) - 2, 1])
+    assert packing.unpack(p.eval_at(1 << packing.bits)) == p
 
 
 def test_heavy_multiplier_is_read_exactly(monkeypatch):
@@ -145,19 +143,18 @@ def test_base_coefficient_above_subset_count_is_rejected(monkeypatch):
     assert str(ei.value) == f"Qtri stream n=0: coefficient {1 << 40} exceeds 2^3"
 
 
-@pytest.mark.parametrize("text, accepted", [
-    ("x^4+4x^3+6x^2+2x", True),
-    ("x^4+4x^3-6x^2+2x", False),   # negative coefficient
-    ("-x^4+4x^3+6x^2+2x", False),  # negative leading coefficient, v < 0
-    ("x^4+4x^3+6x^2+2x+1", False),  # constant term
-    ("x^5+4x^3+6x^2+2x", False),   # degree
-    ("x^4+4x^3+32x^2+2x", False),  # a coefficient at 2^(top+1)
-    ("x^4+4x^3+31x^2+2x", True),   # just below it
+@pytest.mark.parametrize("text, message", [
+    ("x^4+4x^3-6x^2+2x", "negative coefficient"),
+    ("-x^4+4x^3+6x^2+2x", "leading coefficient -1 != 1"),
+    ("x^4+4x^3+6x^2+2x+1", "nonzero constant term 1"),
+    ("x^5+4x^3+6x^2+2x", "degree 5 != vertex count 4"),
+    ("x^4+4x^3+32x^2+2x", "coefficient 32 exceeds 2^4"),
+    ("x^4+4x^3+31x^2+2x", "coefficient 31 exceeds 2^4"),
 ])
-def test_packed_check_and_unpack(text, accepted):
-    packing = families._Packing(families._adopted("O").values(), 4)
-    p = _p(text)
-    v = p.eval_at(1 << packing.bits)
-    assert packing.accepts(v, 4) is accepted
-    if accepted:  # only accepted values are ever unpacked
-        assert packing.unpack(v) == p
+def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text, message):
+    # any Op_0 base but the graph's own breaks the proof, and the checked pass refuses it
+    monkeypatch.setitem(families._BASES["Op"], 0, _p(text))
+    assert not transfer.certify("O")
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("Op", 2)
+    assert str(ei.value) == f"Op stream n=0: {message}"
