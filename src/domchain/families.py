@@ -33,12 +33,9 @@ combination of the group sums per power joined by `<< B` Horner steps, never
 as one big product; B = 0 evaluates at x = 1, the count pass behind
 `sequence`.
 
-_validated owns the rules of a domination polynomial: degree `order`, leading
-coefficient one, constant term zero and each coefficient in [0, 2^order), as
-d(G,k) <= C(order,k) < 2^order; a system that transfer.certify proves meets
-them for every n, so its pass checks no value and B is its top order rounded
-up to whole bytes, while any other system runs one DomPoly pass whose every
-value passes _validated in evaluation order.
+A system transfer.certify proves from its tables meets _validated's rules for
+every n (coefficients in [0, 2^order), as d(G,k) <= C(order,k)), so its pass
+checks no value and B is its top order in whole bytes; any other is refused.
 """
 from __future__ import annotations
 
@@ -113,14 +110,17 @@ def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
         if n < low:
             what = "recurrences" if recurrence else "graphs"
             raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
-        # the family's own member first, so its refusal names it
-        for s in (family, *STREAMS[family[0]]) if recurrence else (family,):
-            order = family_order(s, n)
-            if order > MAX_EDGE_LIST_VERTICES:
-                raise ValueError(f"family {s} at n={n} has {order} vertices, "
-                                 f"limit is {MAX_EDGE_LIST_VERTICES}")
-            top = max(top, order)
+        order = family_order(family, n)  # the family's own member first, so its refusal names it
+        if order > MAX_EDGE_LIST_VERTICES:
+            raise ValueError(f"family {family} at n={n} has {order} vertices, "
+                             f"limit is {MAX_EDGE_LIST_VERTICES}")
+        top = max(top, order, _pass_top(family[0], n) if recurrence else 0)
     return top
+
+
+def _pass_top(system: str, n: int) -> int:
+    """check_n for every stream the system's pass packs at n; the largest order."""
+    return max(check_n(s, n) for s in STREAMS[system])
 
 
 # -- constructors ----------------------------------------------------------
@@ -426,23 +426,36 @@ def _pass(family: str, hi: int, bits: int | None):
         yield k, cur
 
 
+def _tables(system: str) -> transfer.System:
+    """The live block, gadgets, adopted identities and bases, as transfer.certify reads them."""
+    streams = STREAMS[system]
+    return transfer.System(
+        _BLOCKS[system], _first_n(system), tuple((s, _attached(s, None)) for s in streams),
+        tuple((e, _attached(e.lhs, e.subject)) for e in IDENTITIES[system] if e.adopted),
+        tuple((s, k, p) for s in streams for k, p in _BASES[s].items()))
+
+
+def _prove(system: str, hi: int) -> int:
+    """The top order of the system's pass up to hi, once the pass is sized and the system proven."""
+    top = _pass_top(system, hi)
+    if not transfer.certify(_tables(system)):  # only a patched table
+        for _ in _pass(system, hi, None):  # names the first value _validated refuses, if any
+            pass
+        raise RecurrenceConfigError(f"{system} system", "not certified by its transfer matrix")
+    return top
+
+
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     """Yield (k, {stream: polynomial}) for k = lo..hi, bottom-up from the first graph n.
 
-    The one way code outside this module reads a closed system.  A certified
-    system's values are held packed with one B for the pass, and only the listed
-    streams at k >= lo are unpacked; any other system's pass validates each value.
+    The one way code outside this module reads a closed system.  Its values
+    are held packed with one B for the pass, and only the listed streams at
+    k >= lo are unpacked.
     """
     for s in streams:
         if s not in STREAMS.get(family, ()):
             raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
-    top = max(check_n(s, hi) for s in STREAMS[family])  # every stream the pass packs
-    if not transfer.certify(family):
-        for k, cur in _pass(family, hi, None):
-            if k >= lo:
-                yield k, {s: cur[s] for s in streams}
-        return
-    packing = _Packing(top)
+    packing = _Packing(_prove(family, hi))
     for k, cur in _pass(family, hi, packing.bits):
         if k >= lo:
             yield k, {s: packing.unpack(cur[s]) for s in streams}
@@ -460,10 +473,9 @@ def family_polynomial(family: str, n: int) -> DomPoly:
 
 
 def family_counts(family: str, lo: int, hi: int) -> list[int]:
-    """D(X_n, 1) for n = lo..hi: the count pass (B = 0) of a certified system."""
+    """D(X_n, 1) for n = lo..hi: the count pass (B = 0) of the proven system."""
     check_n(family, lo, hi, recurrence=True)
-    if not transfer.certify(family[0]):
-        return [v[family].eval_at(1) for _, v in stream_values(family[0], lo, hi, (family,))]
+    _prove(family[0], hi)
     return [cur[family] for k, cur in _pass(family[0], hi, 0) if k >= lo]
 
 

@@ -1,9 +1,9 @@
 """Block transfer matrices of the chain systems, and the certificate that proves each system.
 
-A chain member is one block (families._BLOCKS) repeated n times, glued at
-single cut vertices, with an optional gadget (families._GADGETS) at the free
-terminal.  A vertex DP carries the terminal in one of three states: 0 not yet
-dominated, 1 dominated and not chosen, 2 chosen.  Gluing one block on takes
+A chain member is one block repeated n times, glued at single cut vertices,
+with an optional gadget at the free terminal.  A vertex DP carries the
+terminal in one of three states: 0 not yet dominated, 1 dominated and not
+chosen, 2 chosen.  Gluing one block on takes
 state i to state j with weight M[j][i], the sum of x^|S| over the subsets S
 of the block's new vertices that dominate every vertex leaving the frontier
 and leave the new terminal in state j.  X_0 is one vertex, v0 = (1, 0, x), and
@@ -14,7 +14,8 @@ the terminal alone, u = (0, 1, 1)).  So
 
 (the transfer-matrix method, Stanley, Enumerative Combinatorics I, 4.7; the
 three-state vertex DP of Telle and Proskurowski, SIAM J. Discrete Math. 1997).
-Only the graph tables are read here, never IDENTITIES.
+families states each system's tables as one `System`; M, v0 and every u_s
+are read from its block and gadgets only, never from its identities.
 
 The three-point lemma.  Every identity is a fixed Z[x]-combination of such
 terms, so on the graphs its residual r_n = lhs_n - rhs_n equals
@@ -30,13 +31,27 @@ polynomial, for every n.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import families
 from .poly import DomPoly
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 V0 = (DomPoly.one(), DomPoly(), DomPoly.x())  # X_0, the one-vertex chain, by terminal state
 
 Vector = tuple[DomPoly, DomPoly, DomPoly]
+Block = tuple[int, tuple[tuple[int, int], ...]]  # width, edges in local labels 0..width
+
+
+class System(NamedTuple):
+    """One closed system's tables, as the certificate reads them."""
+
+    block: Block
+    first_n: int                                # the first n that is a graph
+    gadgets: tuple[tuple[str, Graph | None], ...]  # each stream with its gadget (None: the chain)
+    rules: tuple[tuple[object, Graph | None], ...]  # each adopted Identity, its left side's gadget
+    bases: tuple[tuple[str, int, DomPoly], ...]  # (stream, n, stated value)
 
 
 def _glue(n: int, adj: list[int], keep: int | None) -> dict[tuple[int, int], DomPoly]:
@@ -61,9 +76,9 @@ def _glue(n: int, adj: list[int], keep: int | None) -> dict[tuple[int, int], Dom
     return out
 
 
-def matrix(system: str) -> tuple[Vector, Vector, Vector]:
-    """M(x) of the system's block: row j, column i, the weight of state i -> j."""
-    width, edges = families._BLOCKS[system]
+def matrix(block: Block) -> tuple[Vector, Vector, Vector]:
+    """M(x) of the block: row j, column i, the weight of state i -> j."""
+    width, edges = block
     adj = [0] * (width + 1)
     for a, b in edges:
         adj[a] |= 1 << b
@@ -72,9 +87,8 @@ def matrix(system: str) -> tuple[Vector, Vector, Vector]:
     return tuple(tuple(w.get((i, j), DomPoly()) for i in range(3)) for j in range(3))
 
 
-def finish(family: str, attachment: str | None = None) -> Vector:
-    """u_s: the weight with which the family's gadget finishes each terminal state."""
-    gadget = families._attached(family, attachment)
+def finish(gadget: Graph | None) -> Vector:
+    """u_s: the weight with which the gadget (None: the bare terminal) finishes each state."""
     n, adj = (1, [0]) if gadget is None else (gadget.n, list(gadget.adj))
     w = _glue(n, adj, None)
     return tuple(w.get((j, 0), DomPoly()) for j in range(3))
@@ -84,51 +98,31 @@ def _dot(u: Vector, v: Vector) -> DomPoly:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def states(system: str, hi: int) -> list[Vector]:
+def states(block: Block, hi: int) -> list[Vector]:
     """M^n v0 for n = 0..hi."""
-    m = matrix(system)
+    m = matrix(block)
     out = [V0]
     while len(out) <= hi:
         out.append(tuple(_dot(row, out[-1]) for row in m))
     return out
 
 
-def values(family: str, hi: int, attachment: str | None = None) -> list[DomPoly]:
-    """u_s^T M^n v0 for n = 0..hi: D(X_n + gadget, x) for every n that is a graph."""
-    u = finish(family, attachment)
-    return [_dot(u, w) for w in states(family[0], hi)]
-
-
-def residuals(e: families.Identity) -> list[DomPoly]:
-    """lhs - rhs of the identity on the transfer values at n0, n0 + 1, n0 + 2."""
-    system = e.lhs[0]
+def residuals(system: System, e, gadget: Graph | None) -> list[DomPoly]:
+    """lhs - rhs of the Identity e, its left side finished by `gadget`, at n0, n0 + 1, n0 + 2."""
     depth = max(-off for _, refs in e.terms for _, off in refs)
-    n0 = max(e.start, families._first_n(system) + depth)
-    ws = states(system, n0 + 2)
-    u = {s: finish(s) for s in families.STREAMS[system]}
-    lhs = finish(e.lhs, e.subject)
+    n0 = max(e.start, system.first_n + depth)
+    ws = states(system.block, n0 + 2)
+    u = {s: finish(g) for s, g in system.gadgets}
+    lhs = finish(gadget)
     return [_dot(lhs, ws[n]) - e.rhs(n, lambda s, k: _dot(u[s], ws[k]))
             for n in range(n0, n0 + 3)]
 
 
 @lru_cache(maxsize=None)
-def _certified(system: str, rules: tuple, bases: tuple, tables: tuple) -> bool:
-    """certify for the given live tables; `tables` (the block and gadgets) keys the cache only."""
-    if not all(r.is_zero() for e in rules for r in residuals(e)):
+def certify(system: System) -> bool:
+    """Whether every adopted identity of the system and every stated base is proven for all n."""
+    if not all(r.is_zero() for e, g in system.rules for r in residuals(system, e, g)):
         return False
-    ws = states(system, max(k for _, k, _ in bases))
-    return all(_dot(finish(s), ws[k]) == p for s, k, p in bases)
-
-
-def certify(system: str) -> bool:
-    """Whether every adopted identity of the system and every stated base is proven for all n.
-
-    Read from the live tables on each call (a patched identity or base is seen),
-    and cached by them.
-    """
-    streams = families.STREAMS[system]
-    rules = tuple(e for e in families.IDENTITIES[system] if e.adopted)
-    bases = tuple((s, k, p) for s in streams for k, p in families._BASES[s].items())
-    tables = (families._BLOCKS[system],
-              tuple(families._attached(s, None) for s in streams))
-    return _certified(system, rules, bases, tables)
+    ws = states(system.block, max(k for _, k, _ in system.bases))
+    u = dict(system.gadgets)
+    return all(_dot(finish(u[s]), ws[k]) == p for s, k, p in system.bases)

@@ -144,17 +144,19 @@ def test_base_coefficient_above_subset_count_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("x^4+4x^3-6x^2+2x", "negative coefficient"),
-    ("-x^4+4x^3+6x^2+2x", "leading coefficient -1 != 1"),
-    ("x^4+4x^3+6x^2+2x+1", "nonzero constant term 1"),
-    ("x^5+4x^3+6x^2+2x", "degree 5 != vertex count 4"),
-    ("x^4+4x^3+32x^2+2x", "coefficient 32 exceeds 2^4"),
-    ("x^4+4x^3+31x^2+2x", "coefficient 31 exceeds 2^4"),
+    ("x^4+4x^3-6x^2+2x", "Op stream n=0: negative coefficient"),
+    ("-x^4+4x^3+6x^2+2x", "Op stream n=0: leading coefficient -1 != 1"),
+    ("x^4+4x^3+6x^2+2x+1", "Op stream n=0: nonzero constant term 1"),
+    ("x^5+4x^3+6x^2+2x", "Op stream n=0: degree 5 != vertex count 4"),
+    ("x^4+4x^3+32x^2+2x", "Op stream n=0: coefficient 32 exceeds 2^4"),
+    ("x^4+4x^3+31x^2+2x", "Op stream n=0: coefficient 31 exceeds 2^4"),
+    # fits _validated's rules, and so does every value the checked pass builds on it
+    ("x^4+4x^3+6x^2+3x", "O system: not certified by its transfer matrix"),
 ])
 def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text, message):
-    # any Op_0 base but the graph's own breaks the proof, and the checked pass refuses it
+    # any Op_0 base but the graph's own breaks the proof, and the pass refuses the system
     monkeypatch.setitem(families._BASES["Op"], 0, _p(text))
-    assert not transfer.certify("O")
+    assert not transfer.certify(families._tables("O"))
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial("Op", 2)
-    assert str(ei.value) == f"Op stream n=0: {message}"
+    assert str(ei.value) == message

@@ -12,7 +12,15 @@ from dataclasses import replace
 import pytest
 
 from domchain import families, oracle, transfer
-from domchain.families import CHAIN_FAMILIES, FAMILY_NAMES, IDENTITIES, build_chain, family_order
+from domchain.families import (
+    CHAIN_FAMILIES,
+    FAMILY_NAMES,
+    IDENTITIES,
+    RecurrenceConfigError,
+    build_chain,
+    family_order,
+    family_polynomial,
+)
 from domchain.graph import Graph
 from domchain.poly import DomPoly
 
@@ -30,10 +38,27 @@ def _oracle_values(stream: str, max_order: int) -> dict[int, DomPoly]:
     return out
 
 
+def _certified(system: str) -> bool:
+    """transfer.certify on the system's live tables."""
+    return transfer.certify(families._tables(system))
+
+
+def _finish(stream: str) -> transfer.Vector:
+    """u_s of the stream's live gadget."""
+    return transfer.finish(families._attached(stream, None))
+
+
+def _transfer_values(stream: str, hi: int) -> list[DomPoly]:
+    """u_s^T M^n v0 for n = 0..hi, from the live block and gadget."""
+    u = _finish(stream)
+    return [sum((a * b for a, b in zip(u, w)), DomPoly())
+            for w in transfer.states(families._BLOCKS[stream[0]], hi)]
+
+
 def _transfer_at(stream: str, hi: int, x: int, mod: int | None = None) -> list[int]:
     """u_s^T M^n v0 at the point x for n = 0..hi, from transfer's M, u_s and v0."""
-    m = [[p.eval_at(x) for p in row] for row in transfer.matrix(stream[0])]
-    u = [p.eval_at(x) for p in transfer.finish(stream)]
+    m = [[p.eval_at(x) for p in row] for row in transfer.matrix(families._BLOCKS[stream[0]])]
+    u = [p.eval_at(x) for p in _finish(stream)]
     w = [p.eval_at(x) for p in transfer.V0]
     out = []
     for _ in range(hi + 1):
@@ -68,14 +93,14 @@ def test_every_system_is_certified(monkeypatch, system):
     def no_graph(*args, **kwargs):
         raise AssertionError("a graph was built")
 
-    transfer._certified.cache_clear()
+    transfer.certify.cache_clear()
     monkeypatch.setattr(Graph, "from_edges", classmethod(no_graph))
-    assert transfer.certify(system)
+    assert _certified(system)
 
 
 def test_t_matrix_characteristic_polynomial_is_the_t_identity():
     # M(T) has characteristic polynomial l(l^2 - (x^2+2x) l - (x^2+x)): the paper's T identity
-    m = transfer.matrix("T")
+    m = transfer.matrix(families._BLOCKS["T"])
     tr = m[0][0] + m[1][1] + m[2][2]
     e2 = sum((m[i][i] * m[j][j] - m[i][j] * m[j][i] for i in range(3) for j in range(i + 1, 3)),
              DomPoly())
@@ -88,7 +113,7 @@ def test_t_matrix_characteristic_polynomial_is_the_t_identity():
 @pytest.mark.parametrize("stream", FAMILY_NAMES)
 def test_transfer_values_equal_oracle(stream):
     want = _oracle_values(stream, ORACLE_ORDER)
-    got = transfer.values(stream, max(want))
+    got = _transfer_values(stream, max(want))
     assert {n: got[n] for n in want} == want
 
 
@@ -105,7 +130,9 @@ def test_transfer_values_equal_reference_dp(reference, stream):
 @pytest.mark.parametrize("e", [e for f in CHAIN_FAMILIES for e in IDENTITIES[f] if not e.adopted],
                          ids=lambda e: e.label)
 def test_literal_variants_have_nonzero_residuals(e):
-    assert all(not r.is_zero() for r in transfer.residuals(e))
+    tables = families._tables(e.lhs[0])
+    residuals = transfer.residuals(tables, e, families._attached(e.lhs, e.subject))
+    assert all(not r.is_zero() for r in residuals)
 
 
 @pytest.mark.parametrize("system, index", [(f, i) for f in CHAIN_FAMILIES
@@ -117,7 +144,9 @@ def test_changed_multiplier_coefficient_fails_certify(monkeypatch, system, index
     table = list(IDENTITIES[system])
     table[index] = replace(e, terms=((bumped, refs), *rest))
     monkeypatch.setitem(IDENTITIES, system, tuple(table))
-    assert not transfer.certify(system)
+    assert not _certified(system)
+    with pytest.raises(RecurrenceConfigError):
+        family_polynomial(e.lhs, e.start + 2)
 
 
 @pytest.mark.parametrize("stream, k", [(s, k) for s, bases in families._BASES.items()
@@ -125,11 +154,14 @@ def test_changed_multiplier_coefficient_fails_certify(monkeypatch, system, index
 def test_changed_base_fails_certify(monkeypatch, stream, k):
     p = families._BASES[stream][k]
     monkeypatch.setitem(families._BASES[stream], k, p + DomPoly.monomial(1, 1))
-    assert not transfer.certify(stream[0])
+    assert not _certified(stream[0])
+    # the pass refuses the system, whether or not a value breaks a shape rule
+    with pytest.raises(RecurrenceConfigError):
+        family_polynomial(stream, max(k, families._first_n(stream, recurrence=True)))
 
 
 def _anchor_holds(stream: str, want: dict[int, DomPoly]) -> bool:
-    got = transfer.values(stream, max(want))
+    got = _transfer_values(stream, max(want))
     return all(got[n] == p for n, p in want.items())
 
 
