@@ -1,7 +1,8 @@
 """Command-line front end: compute, verify, sequence, bench.
 
 Exit codes: 0 success / all-match, 1 usage or input error, 2 verification
-mismatch or a recurrence failing its own check, 3 enumeration cap exceeded.
+mismatch, a closed system its certificate refutes or the edge identity failing
+its own check, 3 enumeration cap exceeded.
 """
 from __future__ import annotations
 
@@ -239,14 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _joined_ranges(argv: list[str]) -> list[str]:
-    """argv with each `--n-range X` joined into `--n-range=X`.
+    """argv with each `--n-range X` joined into `--n-range=X`, for every prefix from `--n-`.
 
     argparse reads a value such as -1:3 as a flag; joined to its option, it
-    reaches the range checks like any other value.
+    reaches the range checks like any other value.  `--n` is an option of its own.
     """
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--n-range" and tok[:1] == "-" and tok[1:2].isdigit():
+        if (out and len(out[-1]) >= 4 and "--n-range".startswith(out[-1])
+                and tok[:1] == "-" and tok[1:2].isdigit()):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -262,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"domchain: {e}", file=sys.stderr)
         return EXIT_CAP
     except (families.RecurrenceConfigError, ExactDivisionError) as e:
-        # a closed recurrence or the edge identity failed its own check
+        # a closed system its certificate refutes, or the edge identity failing its own check
         print(f"domchain: {e}", file=sys.stderr)
         return EXIT_MISMATCH
     except (ValueError, OSError) as e:  # EdgeListParseError is a ValueError

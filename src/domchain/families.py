@@ -33,9 +33,11 @@ combination of the group sums per power joined by `<< B` Horner steps, never
 as one big product; B = 0 evaluates at x = 1, the count pass behind
 `sequence`.
 
-A system transfer.certify proves from its tables meets _validated's rules for
-every n (coefficients in [0, 2^order), as d(G,k) <= C(order,k)), so its pass
-checks no value and B is its top order in whole bytes; any other is refused.
+A pass runs only on a system transfer.certify proves from its tables, so
+every value is a domination polynomial, with coefficients in [0, 2^order) as
+d(G,k) <= C(order,k): the pass checks no value, and B is its top order in
+whole bytes.  Any other system is refused before the pass, naming the first
+identity or base the certificate refutes.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
 
 
 class RecurrenceConfigError(RuntimeError):
-    """A closed-recurrence stream produced a non-domination polynomial."""
+    """A closed system its transfer-matrix certificate refutes, naming the identity or base."""
 
     def __init__(self, identity: str, detail: str):
         super().__init__(f"{identity}: {detail}")
@@ -358,26 +360,6 @@ T0_COUNT_SEED = 2  # formal seed of the count sequence; T_0 is not a graph here
 
 # -- stream evaluation ------------------------------------------------------------
 
-def _validated(p: DomPoly, order: int, identity: str) -> DomPoly:
-    """Check the domination-polynomial invariants a stream value must satisfy."""
-    if p.degree != order:
-        raise RecurrenceConfigError(identity, f"degree {p.degree} != vertex count {order}")
-    if p[order] != 1:
-        raise RecurrenceConfigError(identity, f"leading coefficient {p[order]} != 1")
-    if p[0] != 0:
-        raise RecurrenceConfigError(identity, f"nonzero constant term {p[0]}")
-    if min(p.coeffs) < 0:
-        raise RecurrenceConfigError(identity, "negative coefficient")
-    if max(p.coeffs) >> order:
-        raise RecurrenceConfigError(identity, f"coefficient {max(p.coeffs)} exceeds 2^{order}")
-    return p
-
-
-def _name(stream: str, k: int) -> str:
-    """The stream value's name in a refusal message."""
-    return f"{stream}-chain n={k}" if stream in CHAIN_FAMILIES else f"{stream} stream n={k}"
-
-
 def _adopted(family: str) -> dict[str, Identity]:
     """The identity that drives each stream of the family."""
     return {e.lhs: e for e in IDENTITIES[family] if e.adopted}
@@ -398,12 +380,9 @@ class _Packing:
                         for i in range(0, len(raw), width)])
 
 
-def _pass(family: str, hi: int, bits: int | None):
-    """Yield (k, {stream: value}) for every stream of the system, k = first graph n..hi.
-
-    With `bits`, each value is the int D(X_k, 2^bits), unchecked: the system must
-    be certified.  Without, each is a DomPoly that passes _validated, in evaluation
-    order.  Only the last k the identities look back to are kept.
+def _pass(family: str, hi: int, bits: int):
+    """Yield (k, {stream: D(X_k, 2^bits)}) for every stream of the proven system, k = first
+    graph n..hi, with no value checked.  Only the last k the identities look back to are kept.
     """
     rules = _adopted(family)
     depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
@@ -417,12 +396,8 @@ def _pass(family: str, hi: int, bits: int | None):
         window[k] = cur = {}
         for s in STREAMS[family]:
             rule = rules[s]
-            if bits is not None:
-                cur[s] = (rule.rhs(k, value, bits) if k >= rule.start
-                          else _BASES[s][k].eval_at(1 << bits))
-            else:
-                cur[s] = _validated(rule.rhs(k, value) if k >= rule.start else _BASES[s][k],
-                                    family_order(s, k), _name(s, k))
+            cur[s] = (rule.rhs(k, value, bits) if k >= rule.start
+                      else _BASES[s][k].eval_at(1 << bits))
         yield k, cur
 
 
@@ -438,10 +413,9 @@ def _tables(system: str) -> transfer.System:
 def _prove(system: str, hi: int) -> int:
     """The top order of the system's pass up to hi, once the pass is sized and the system proven."""
     top = _pass_top(system, hi)
-    if not transfer.certify(_tables(system)):  # only a patched table
-        for _ in _pass(system, hi, None):  # names the first value _validated refuses, if any
-            pass
-        raise RecurrenceConfigError(f"{system} system", "not certified by its transfer matrix")
+    tables = _tables(system)
+    if not transfer.certify(tables):  # only a patched table
+        raise RecurrenceConfigError(*transfer.refutation(tables))
     return top
 
 

@@ -22,11 +22,11 @@ terms, so on the graphs its residual r_n = lhs_n - rhs_n equals
 c^T M^(n - d) v0 for n >= d, its look-back depth.  By Cayley-Hamilton,
 M^3 = tr(M) M^2 - e2(M) M + det(M) I, so r_(n+3) = tr r_(n+2) - e2 r_(n+1) +
 det r_n: if r_n is zero at n0, n0 + 1 and n0 + 2, it is zero for every
-n >= n0, where n0 = max(start, first graph n + d).  `certify` checks exactly
-that for each adopted identity of a system, and that every stated base
-equals its transfer value; by induction over the pass's evaluation order,
-every stream value of the closed system is then its graph's domination
-polynomial, for every n.
+n >= n0, where n0 = max(start, first graph n + d).  `refutation` checks
+exactly that for each adopted identity of a system, then that every stated
+base equals its transfer value, and names the first failure; by induction
+over the pass's evaluation order, every stream value of a system with none
+is its graph's domination polynomial, for every n.
 """
 from __future__ import annotations
 
@@ -107,10 +107,15 @@ def states(block: Block, hi: int) -> list[Vector]:
     return out
 
 
+def _n0(system: System, e) -> int:
+    """The first n at which the Identity e's residual is checked."""
+    depth = max(-off for _, refs in e.terms for _, off in refs)
+    return max(e.start, system.first_n + depth)
+
+
 def residuals(system: System, e, gadget: Graph | None) -> list[DomPoly]:
     """lhs - rhs of the Identity e, its left side finished by `gadget`, at n0, n0 + 1, n0 + 2."""
-    depth = max(-off for _, refs in e.terms for _, off in refs)
-    n0 = max(e.start, system.first_n + depth)
+    n0 = _n0(system, e)
     ws = states(system.block, n0 + 2)
     u = {s: finish(g) for s, g in system.gadgets}
     lhs = finish(gadget)
@@ -118,11 +123,27 @@ def residuals(system: System, e, gadget: Graph | None) -> list[DomPoly]:
             for n in range(n0, n0 + 3)]
 
 
+def refutation(system: System) -> tuple[str, str] | None:
+    """(what, why) of the first failure, or None when the system is proven for every n.
+
+    Each adopted identity in turn fails at the first of its three n with a
+    nonzero residual; failing none, the first stated base that is not its
+    transfer value fails.
+    """
+    for e, g in system.rules:
+        for n, r in enumerate(residuals(system, e, g), _n0(system, e)):
+            if not r.is_zero():
+                return e.label, f"nonzero residual {r.to_text()} at n={n}"
+    ws = states(system.block, max(k for _, k, _ in system.bases))
+    u = dict(system.gadgets)
+    for s, k, p in system.bases:
+        want = _dot(finish(u[s]), ws[k])
+        if want != p:
+            return f"{s} base n={k}", f"stated {p.to_text()}, transfer value {want.to_text()}"
+    return None
+
+
 @lru_cache(maxsize=None)
 def certify(system: System) -> bool:
     """Whether every adopted identity of the system and every stated base is proven for all n."""
-    if not all(r.is_zero() for e, g in system.rules for r in residuals(system, e, g)):
-        return False
-    ws = states(system.block, max(k for _, k, _ in system.bases))
-    u = dict(system.gadgets)
-    return all(_dot(finish(u[s]), ws[k]) == p for s, k, p in system.bases)
+    return refutation(system) is None

@@ -180,16 +180,19 @@ class TestCompute:
 
 
 class TestInternalCheckFailures:
-    """A closed recurrence or the edge identity failing its own check exits 2, not a traceback."""
+    """A closed system its certificate refutes, or the edge identity failing its own check,
+    exits 2, not a traceback."""
 
-    def test_recurrence_value_refused(self, capsys, monkeypatch):
+    def test_unproven_recurrence_refused(self, capsys, monkeypatch):
         rule, = families.IDENTITIES["T"]
         (_, refs), *rest = rule.terms
         bad = replace(rule, terms=((DomPoly.from_text("x^2+20x"), refs), *rest))
         monkeypatch.setitem(families.IDENTITIES, "T", (bad,))
         code, out, err = run(capsys, "compute", "--family", "T", "--n", "5",
                              "--method", "recurrence")
-        assert (code, out, err) == (2, "", "domchain: T-chain n=3: coefficient 212 exceeds 2^7\n")
+        assert (code, out, err) == (
+            2, "", "domchain: T-chain order-2 polynomial recurrence: nonzero residual "
+                   "-18x^6-90x^5-180x^4-144x^3-18x^2 at n=3\n")
 
     def test_edge_bracket_not_divisible(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(decompose, "edge_recurrence_bracket",
@@ -390,11 +393,12 @@ class TestInputBounds:
         (("compute", "--family", "T"), "family T graphs start at n = 1, got -1"),
         (("bench", "--family", "T"), "family T recurrences start at n = 1, got -1"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
-    @pytest.mark.parametrize("spelling", [("--n-range", "-1:3"), ("--n-range=-1:3",)],
+    @pytest.mark.parametrize("spelling", [("--n-range", "-1:3"), ("--n-range=-1:3",),
+                                          ("--n-ran", "-1:3"), ("--n-", "-1:3")],
                              ids=" ".join)
     def test_range_below_zero_reaches_first_n_refusal(self, capsys, monkeypatch, argv,
                                                       message, spelling):
-        # argparse alone reads -1:3 as a flag; both spellings get the first-n refusal
+        # argparse alone reads -1:3 as a flag; every spelling gets the first-n refusal
         monkeypatch.setattr(families, "build_chain", self._no_build)
         code, out, err = run(capsys, *argv, *spelling)
         assert (code, out, err) == (1, "", f"domchain: error: {message}\n")

@@ -5,7 +5,6 @@ from domchain.families import (
     CHAIN_FAMILIES,
     FAMILY_NAMES,
     IDENTITIES,
-    RecurrenceConfigError,
     attach_gadget,
     build_chain,
     family_order,
@@ -281,19 +280,6 @@ class TestSquareChains:
 
 
 class TestStreamValidation:
-    def test_validator_rejects_wrong_degree(self):
-        with pytest.raises(RecurrenceConfigError) as ei:
-            families._validated(DomPoly((0, 1)), 2, "example identity")
-        assert "example identity" in str(ei.value)
-
-    def test_validator_rejects_bad_leading_and_constant(self):
-        with pytest.raises(RecurrenceConfigError):
-            families._validated(DomPoly((0, 0, 2)), 2, "lead")
-        with pytest.raises(RecurrenceConfigError):
-            families._validated(DomPoly((1, 0, 1)), 2, "const")
-        with pytest.raises(RecurrenceConfigError):
-            families._validated(DomPoly((0, -1, 1, 1)), 3, "neg")
-
     def test_degree_and_leading_invariants(self):
         for n in range(1, 7):
             p = t_polynomial(n)

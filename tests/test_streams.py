@@ -2,7 +2,9 @@
 
 The reference here evaluates every adopted Identity.rhs on DomPoly values over
 the stated bases in a plain loop, independent of how families evaluates the
-streams, and the failure tests pin the exact RecurrenceConfigError messages.
+streams.  The failure tests pin the exact RecurrenceConfigError messages: an
+edited table is refused by its transfer-matrix certificate before any pass,
+naming the first identity or base it refutes.
 """
 from dataclasses import replace
 
@@ -67,13 +69,19 @@ def test_stream_states_equal_family_polynomial(fam, stream):
     assert states[0][fam] == oracle.domination_polynomial(build_chain(fam, 0))
 
 
-# -- failures keep their messages ------------------------------------------------
+# -- an unproven system is refused before any pass, by what the certificate refutes ---------
 
 @pytest.mark.parametrize("stream, k, text, call, message", [
-    ("T", 1, "x^4+3x^2+3x", "T", "T-chain n=1: degree 4 != vertex count 3"),
-    ("Q2", 0, "2x^3+3x^2+x", "Q", "Q2 stream n=0: leading coefficient 2 != 1"),
-    ("Otri", 0, "x^3+3x^2+3x+1", "O+e", "Otri stream n=0: nonzero constant term 1"),
-    ("Op", 0, "x^4+4x^3-6x^2+2x", "Op", "Op stream n=0: negative coefficient"),
+    ("T", 1, "x^4+3x^2+3x", "T",
+     "T base n=1: stated x^4+3x^2+3x, transfer value x^3+3x^2+3x"),
+    ("Q2", 0, "2x^3+3x^2+x", "Q",
+     "Q2 base n=0: stated 2x^3+3x^2+x, transfer value x^3+3x^2+x"),
+    ("Otri", 0, "x^3+3x^2+3x+1", "O+e",
+     "Otri base n=0: stated x^3+3x^2+3x+1, transfer value x^3+3x^2+3x"),
+    ("Op", 0, "x^4+4x^3-6x^2+2x", "Op",
+     "Op base n=0: stated x^4+4x^3-6x^2+2x, transfer value x^4+4x^3+6x^2+2x"),
+    ("Qtri", 0, f"x^3+3x^2+{1 << 40}x", "Qtri",
+     f"Qtri base n=0: stated x^3+3x^2+{1 << 40}x, transfer value x^3+3x^2+3x"),
 ])
 def test_bad_base_is_rejected(monkeypatch, stream, k, text, call, message):
     monkeypatch.setitem(families._BASES[stream], k, _p(text))
@@ -92,17 +100,57 @@ def _with_multiplier(monkeypatch, fam: str, lhs: str, old: str, new: str) -> Non
     monkeypatch.setitem(IDENTITIES, fam, tuple(map(swap, IDENTITIES[fam])))
 
 
+_T_RULE = "T-chain order-2 polynomial recurrence: nonzero residual"
+
+
 @pytest.mark.parametrize("fam, lhs, old, new, message", [
-    ("T", "T", "x^2+2x", "x^3+2x", "T-chain n=3: degree 8 != vertex count 7"),
-    ("Q", "Qp", "-x", "-5x", "Qp stream n=1: negative coefficient"),
-    ("O", "O", "x^2+2x", "2x^2+2x", "O-chain n=2: leading coefficient 2 != 1"),
-    ("O", "O", "x^2+2x", "-x^2+2x", "O-chain n=2: leading coefficient -1 != 1"),
+    ("T", "T", "x^2+2x", "x^3+2x", f"{_T_RULE} -x^8-4x^7-5x^6+2x^5+7x^4+x^3 at n=3"),
+    ("T", "T", "x^2+2x", "x^2+20x", f"{_T_RULE} -18x^6-90x^5-180x^4-144x^3-18x^2 at n=3"),
+    ("T", "T", "x^2+2x", "x^2+1000000x",
+     f"{_T_RULE} -999998x^6-4999990x^5-9999980x^4-7999984x^3-999998x^2 at n=3"),
+    ("Q", "Qp", "-x", "-5x",
+     "Q primed identity (iii), adopted -x form: nonzero residual 4x^4+12x^3+4x^2 at n=1"),
+    ("O", "O", "x^2+2x", "2x^2+2x",
+     "O-chain theorem recurrence: nonzero residual -x^7-5x^6-9x^5-4x^4 at n=2"),
+    ("O", "O", "x^2+2x", "-x^2+2x",
+     "O-chain theorem recurrence: nonzero residual 2x^7+10x^6+18x^5+8x^4 at n=2"),
 ])
 def test_wrong_multiplier_is_rejected(monkeypatch, fam, lhs, old, new, message):
     _with_multiplier(monkeypatch, fam, lhs, old, new)
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial(fam, 8)
     assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "x^4+4x^3-6x^2+2x", "-x^4+4x^3+6x^2+2x", "x^4+4x^3+6x^2+2x+1", "x^5+4x^3+6x^2+2x",
+    "x^4+4x^3+32x^2+2x", "x^4+4x^3+31x^2+2x",
+    "x^4+4x^3+6x^2+3x",  # has every shape of a domination polynomial of 4 vertices
+])
+def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text):
+    # any Op_0 base but the graph's own breaks the proof, and the system is refused
+    monkeypatch.setitem(families._BASES["Op"], 0, _p(text))
+    assert not transfer.certify(families._tables("O"))
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("Op", 2)
+    assert str(ei.value) == f"Op base n=0: stated {text}, transfer value x^4+4x^3+6x^2+2x"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: family_polynomial("O", 3332),
+    lambda: families.family_counts("O", 1, 3332),
+    lambda: next(families.stream_values("O", 0, 5, ("Op",))),
+], ids=["family_polynomial", "family_counts", "stream_values"])
+def test_unproven_system_is_refused_before_any_pass(monkeypatch, call):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a stream pass was started")
+
+    monkeypatch.setattr(families, "_pass", no_pass)
+    monkeypatch.setitem(families._BASES["Op"], 0, _p("x^4+4x^3+6x^2+3x"))
+    with pytest.raises(RecurrenceConfigError) as ei:
+        call()
+    assert str(ei.value) == ("Op base n=0: stated x^4+4x^3+6x^2+3x, "
+                             "transfer value x^4+4x^3+6x^2+2x")
 
 
 # -- packed evaluation ---------------------------------------------------------------
@@ -114,49 +162,3 @@ def test_packing_round_trips_every_coefficient_below_two_to_the_top(top):
     assert packing.bits % 8 == 0 and top <= packing.bits < top + 8
     p = DomPoly([0, (1 << top) - 1, *[0] * 20, 1, (1 << top) - 2, 1])
     assert packing.unpack(p.eval_at(1 << packing.bits)) == p
-
-
-def test_heavy_multiplier_is_read_exactly(monkeypatch):
-    # B grows with the identity's weight, so the digits still read back exactly
-    _with_multiplier(monkeypatch, "T", "T", "x^2+2x", "x^2+1000000x")
-    want = max(_plain_streams("T", 3)["T", 3].coeffs)
-    assert want > 1 << 23
-    with pytest.raises(RecurrenceConfigError) as ei:
-        family_polynomial("T", 5)
-    assert str(ei.value) == f"T-chain n=3: coefficient {want} exceeds 2^7"
-
-
-@pytest.mark.parametrize("hi", [3, 5, 8])
-def test_returned_value_passes_the_subset_count_rule(monkeypatch, hi):
-    # T_3's coefficients stay below 2^(top+1), so the pass keeps the value, but 212
-    # is not below 2^7: it is refused, whether it is returned or only looked back to
-    _with_multiplier(monkeypatch, "T", "T", "x^2+2x", "x^2+20x")
-    with pytest.raises(RecurrenceConfigError) as ei:
-        family_polynomial("T", hi)
-    assert str(ei.value) == "T-chain n=3: coefficient 212 exceeds 2^7"
-
-
-def test_base_coefficient_above_subset_count_is_rejected(monkeypatch):
-    monkeypatch.setitem(families._BASES["Qtri"], 0, _p(f"x^3+3x^2+{1 << 40}x"))
-    with pytest.raises(RecurrenceConfigError) as ei:
-        family_polynomial("Qtri", 2)
-    assert str(ei.value) == f"Qtri stream n=0: coefficient {1 << 40} exceeds 2^3"
-
-
-@pytest.mark.parametrize("text, message", [
-    ("x^4+4x^3-6x^2+2x", "Op stream n=0: negative coefficient"),
-    ("-x^4+4x^3+6x^2+2x", "Op stream n=0: leading coefficient -1 != 1"),
-    ("x^4+4x^3+6x^2+2x+1", "Op stream n=0: nonzero constant term 1"),
-    ("x^5+4x^3+6x^2+2x", "Op stream n=0: degree 5 != vertex count 4"),
-    ("x^4+4x^3+32x^2+2x", "Op stream n=0: coefficient 32 exceeds 2^4"),
-    ("x^4+4x^3+31x^2+2x", "Op stream n=0: coefficient 31 exceeds 2^4"),
-    # fits _validated's rules, and so does every value the checked pass builds on it
-    ("x^4+4x^3+6x^2+3x", "O system: not certified by its transfer matrix"),
-])
-def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text, message):
-    # any Op_0 base but the graph's own breaks the proof, and the pass refuses the system
-    monkeypatch.setitem(families._BASES["Op"], 0, _p(text))
-    assert not transfer.certify(families._tables("O"))
-    with pytest.raises(RecurrenceConfigError) as ei:
-        family_polynomial("Op", 2)
-    assert str(ei.value) == message
