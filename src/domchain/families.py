@@ -33,16 +33,16 @@ combination of the group sums per power joined by `<< B` Horner steps, never
 as one big product; B = 0 evaluates at x = 1, the count pass behind
 `sequence`.
 
-A pass runs only on a system transfer.certify proves from its tables, so
-every value is a domination polynomial, with coefficients in [0, 2^order) as
-d(G,k) <= C(order,k): the pass checks no value, and B is its top order in
-whole bytes.  Any other system is refused before the pass, naming the first
-identity or base the certificate refutes.
+A packed pass runs only on a system _certify proves (transfer states the
+lemma), so every value is a domination polynomial, with coefficients in
+[0, 2^order) as d(G,k) <= C(order,k): the pass checks no value, and B is its
+top order in whole bytes.  Any other system is refused before a packed pass,
+naming the stream, identity or base that fails.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add
 from typing import Callable
 
@@ -84,7 +84,8 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
 
 
 class RecurrenceConfigError(RuntimeError):
-    """A closed system its transfer-matrix certificate refutes, naming the identity or base."""
+    """A closed system _certify refuses: a table the pass cannot run, or the first pass
+    value that is not its transfer value, naming the stream, identity or base."""
 
     def __init__(self, identity: str, detail: str):
         super().__init__(f"{identity}: {detail}")
@@ -234,6 +235,11 @@ class Identity:
         return acc
 
     @cached_property
+    def depth(self) -> int:
+        """How many n back the right-hand side reads."""
+        return max(-off for _, refs in self.terms for _, off in refs)
+
+    @cached_property
     def _by_power(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """(coefficient, group index) pairs of each power of x, from the top power down."""
         top = max(mult.degree for mult, _ in self.terms)
@@ -380,12 +386,13 @@ class _Packing:
                         for i in range(0, len(raw), width)])
 
 
-def _pass(family: str, hi: int, bits: int):
-    """Yield (k, {stream: D(X_k, 2^bits)}) for every stream of the proven system, k = first
-    graph n..hi, with no value checked.  Only the last k the identities look back to are kept.
+def _pass(family: str, hi: int, bits: int | None):
+    """Yield (k, {stream: value}) for every stream of the system, k = first graph n..hi,
+    with no value checked: each value is D(X_k, 2^bits), or with bits None the polynomial.
+    Only the last k the identities look back to are kept.
     """
     rules = _adopted(family)
-    depth = max(-off for e in rules.values() for _, refs in e.terms for _, off in refs)
+    depth = max(e.depth for e in rules.values())
     window: dict[int, dict[str, object]] = {}
 
     def value(stream: str, k: int):
@@ -396,26 +403,70 @@ def _pass(family: str, hi: int, bits: int):
         window[k] = cur = {}
         for s in STREAMS[family]:
             rule = rules[s]
-            cur[s] = (rule.rhs(k, value, bits) if k >= rule.start
-                      else _BASES[s][k].eval_at(1 << bits))
+            if k >= rule.start:
+                cur[s] = rule.rhs(k, value, bits)
+            else:
+                cur[s] = _BASES[s][k] if bits is None else _BASES[s][k].eval_at(1 << bits)
         yield k, cur
 
 
-def _tables(system: str) -> transfer.System:
-    """The live block, gadgets, adopted identities and bases, as transfer.certify reads them."""
+def _tables(system: str) -> tuple:
+    """The live tables _certify reads: its cache key."""
     streams = STREAMS[system]
-    return transfer.System(
-        _BLOCKS[system], _first_n(system), tuple((s, _attached(s, None)) for s in streams),
-        tuple((e, _attached(e.lhs, e.subject)) for e in IDENTITIES[system] if e.adopted),
-        tuple((s, k, p) for s in streams for k, p in _BASES[s].items()))
+    return (system, _BLOCKS[system], tuple((s, _attached(s, None)) for s in streams),
+            IDENTITIES[system], tuple((s, tuple(_BASES.get(s, {}).items())) for s in streams))
+
+
+@lru_cache(maxsize=None)
+def _certify(tables: tuple) -> None:
+    """Prove the system `tables` names for every n, or raise RecurrenceConfigError.
+
+    Refuse first a table the pass cannot run: a stream with no adopted identity,
+    a read the pass has not evaluated (a later or foreign stream, or n ahead), a
+    start whose look-back reaches below the first graph n, a base missing below
+    the start or stated where the pass never reads it (so every stated base is
+    checked).  Then run the pass on polynomials to the largest start + 2, and
+    refuse its first value that is not its transfer value.
+    """
+    system, block, gadgets = tables[:3]
+    rules = _adopted(system)
+    streams = [s for s, _ in gadgets]
+    first = _first_n(system)
+    for i, s in enumerate(streams):
+        if s not in rules:
+            raise RecurrenceConfigError(f"{s} stream", "no adopted identity")
+        e = rules[s]
+        for t, off in (ref for _, refs in e.terms for ref in refs):
+            if t not in (streams if off < 0 else streams[:i] if off == 0 else ()):
+                raise RecurrenceConfigError(
+                    e.label, f"reads {t} at offset {off}, which the pass has not evaluated")
+        if e.start < first + e.depth:
+            raise RecurrenceConfigError(
+                e.label, f"starts at n={e.start}, reading n={e.start - e.depth} below the "
+                         f"first graph n={first}")
+        odd = set(range(first, e.start)) ^ set(_BASES.get(s, {}))  # missing, or never read
+        if odd:
+            k = min(odd)
+            raise RecurrenceConfigError(
+                f"{s} base n={k}", "not stated" if first <= k < e.start else "never read")
+    ws = transfer.states(block, max(e.start for e in rules.values()) + 2)
+    u = {s: transfer.finish(g) for s, g in gadgets}
+    for k, cur in _pass(system, len(ws) - 1, None):
+        for s in streams:
+            got, want = cur[s], transfer.dot(u[s], ws[k])
+            if got == want:
+                continue
+            if k < rules[s].start:
+                raise RecurrenceConfigError(
+                    f"{s} base n={k}", f"stated {got.to_text()}, transfer value {want.to_text()}")
+            raise RecurrenceConfigError(
+                rules[s].label, f"nonzero residual {(want - got).to_text()} at n={k}")
 
 
 def _prove(system: str, hi: int) -> int:
     """The top order of the system's pass up to hi, once the pass is sized and the system proven."""
     top = _pass_top(system, hi)
-    tables = _tables(system)
-    if not transfer.certify(tables):  # only a patched table
-        raise RecurrenceConfigError(*transfer.refutation(tables))
+    _certify(_tables(system))
     return top
 
 

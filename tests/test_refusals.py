@@ -53,6 +53,8 @@ ROWS = [
      ("build_chain", "scan"), 1, "domchain: error: family T graphs start at n = 1, got -1\n"),
     ("first recurrence n", ("sequence", "--family", "Q", "--max-n", "0"),
      ("pass", "packing"), 1, "domchain: error: family Q recurrences start at n = 1, got 0\n"),
+    ("negative T sequence length", ("sequence", "--family", "T", "--max-n", "-1"),
+     ("pass", "packing"), 1, "domchain: error: n_max >= 0 required, got -1\n"),
     ("first recurrence n, bench", ("bench", "--family", "T", "--n-range=-1:3"),
      ("family_polynomial", "build_chain"), 1,
      "domchain: error: family T recurrences start at n = 1, got -1\n"),
@@ -98,8 +100,9 @@ ROWS = [
      "domchain: error: --method recurrence requires a --family input\n"),
     ("n without family", ("compute", "--n", "3"),
      ("build_chain", "pass"), 1, "domchain: error: --n and --n-range need --family\n"),
+    # the certificate runs its own polynomial pass; the packed pass must not start
     ("unproven system", ("compute", "--family", "O", "--n", "5", "--method", "recurrence"),
-     ("pass", "from_edges"), 2,
+     ("packing", "from_edges"), 2,
      f"domchain: Op base n=0: stated {_OP_BASE}, transfer value x^4+4x^3+6x^2+2x\n"),
 ]
 

@@ -3,14 +3,14 @@
 The reference here evaluates every adopted Identity.rhs on DomPoly values over
 the stated bases in a plain loop, independent of how families evaluates the
 streams.  The failure tests pin the exact RecurrenceConfigError messages: an
-edited table is refused by its transfer-matrix certificate before any pass,
-naming the first identity or base it refutes.
+edited table is refused by its certificate before any packed pass, naming the
+stream, identity or base that fails.
 """
 from dataclasses import replace
 
 import pytest
 
-from domchain import families, oracle, transfer
+from domchain import families, oracle
 from domchain.families import (
     CHAIN_FAMILIES,
     FAMILY_NAMES,
@@ -130,7 +130,6 @@ def test_wrong_multiplier_is_rejected(monkeypatch, fam, lhs, old, new, message):
 def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text):
     # any Op_0 base but the graph's own breaks the proof, and the system is refused
     monkeypatch.setitem(families._BASES["Op"], 0, _p(text))
-    assert not transfer.certify(families._tables("O"))
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial("Op", 2)
     assert str(ei.value) == f"Op base n=0: stated {text}, transfer value x^4+4x^3+6x^2+2x"
@@ -142,15 +141,54 @@ def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text):
     lambda: next(families.stream_values("O", 0, 5, ("Op",))),
 ], ids=["family_polynomial", "family_counts", "stream_values"])
 def test_unproven_system_is_refused_before_any_pass(monkeypatch, call):
-    def no_pass(*args, **kwargs):
-        raise AssertionError("a stream pass was started")
+    # the certificate's own polynomial pass (bits None) may run; a packed or count pass may not
+    def no_packed_pass(family, hi, bits):
+        if bits is not None:
+            raise AssertionError("a packed or count pass was started")
+        return real_pass(family, hi, bits)
 
-    monkeypatch.setattr(families, "_pass", no_pass)
+    real_pass = families._pass
+    monkeypatch.setattr(families, "_pass", no_packed_pass)
     monkeypatch.setitem(families._BASES["Op"], 0, _p("x^4+4x^3+6x^2+3x"))
     with pytest.raises(RecurrenceConfigError) as ei:
         call()
     assert str(ei.value) == ("Op base n=0: stated x^4+4x^3+6x^2+3x, "
                              "transfer value x^4+4x^3+6x^2+2x")
+
+
+def _edit_q(monkeypatch, lhs: str, **changes) -> None:
+    """Apply `changes` to the adopted Q identity for `lhs`."""
+    monkeypatch.setitem(IDENTITIES, "Q", tuple(
+        replace(e, **changes) if e.adopted and e.lhs == lhs else e for e in IDENTITIES["Q"]))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda mp: _edit_q(mp, "Qtri", adopted=False), "Qtri stream: no adopted identity"),
+    (lambda mp: _edit_q(mp, "Q+e", start=1),
+     "Q pendant identity (iv): starts at n=1, reading n=-1 below the first graph n=0"),
+    # Qtri_n = (2+2x) Q+e_n - Qp_n holds on the graphs, but Qp_n comes after Qtri_n
+    (lambda mp: _edit_q(mp, "Qtri", terms=((_p("2+2x"), (("Q+e", 0),)), (_p("-1"), (("Qp", 0),)))),
+     "Q triangle-gadget identity (i): reads Qp at offset 0, which the pass has not evaluated"),
+    (lambda mp: mp.delitem(families._BASES["Q+e"], 1), "Q+e base n=1: not stated"),
+    # the graph's own Qtri_1, so only the unread entry is wrong
+    (lambda mp: mp.setitem(families._BASES["Qtri"], 1, _p("x^6+6x^5+15x^4+16x^3+5x^2")),
+     "Qtri base n=1: never read"),
+], ids=["no adopted identity", "start before the look-back reaches a graph",
+        "read of a stream not yet evaluated", "missing base", "base never read"])
+def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
+    edit(monkeypatch)
+    monkeypatch.setattr(families, "_pass", None)  # refused before even the certificate's pass
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("Q", 5)
+    assert str(ei.value) == message
+
+
+def test_identity_is_checked_against_its_own_stream(monkeypatch):
+    # Q2_n = Qtri_n is an identity of the triangle graphs its subject names, not of Q2's
+    _edit_q(monkeypatch, "Q2", terms=((_p("1"), (("Qtri", 0),)),), subject="triangle")
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("Q2", 3)
+    assert str(ei.value) == "Q pendant-pair identity (ii): nonzero residual -x^4-3x^3-4x^2 at n=1"
 
 
 # -- packed evaluation ---------------------------------------------------------------

@@ -3,8 +3,8 @@
 transfer derives M(x), v0 and each u_s from the graph tables alone; its values
 are checked against the enumeration oracle on every member of at most 20
 vertices and against perfbench/reference.py's frontier DP (no shared code) up
-to n = 300.  Mutants of the tables must break either the certificate or the
-oracle anchor.
+to n = 300.  Mutants of the tables must break either the certificate
+(families._certify) or the oracle anchor.
 """
 import random
 from dataclasses import replace
@@ -39,8 +39,12 @@ def _oracle_values(stream: str, max_order: int) -> dict[int, DomPoly]:
 
 
 def _certified(system: str) -> bool:
-    """transfer.certify on the system's live tables."""
-    return transfer.certify(families._tables(system))
+    """Whether the certificate proves the system's live tables."""
+    try:
+        families._certify(families._tables(system))
+    except RecurrenceConfigError:
+        return False
+    return True
 
 
 def _finish(stream: str) -> transfer.Vector:
@@ -93,7 +97,7 @@ def test_every_system_is_certified(monkeypatch, system):
     def no_graph(*args, **kwargs):
         raise AssertionError("a graph was built")
 
-    transfer.certify.cache_clear()
+    families._certify.cache_clear()
     monkeypatch.setattr(Graph, "from_edges", classmethod(no_graph))
     assert _certified(system)
 
@@ -129,10 +133,17 @@ def test_transfer_values_equal_reference_dp(reference, stream):
 
 @pytest.mark.parametrize("e", [e for f in CHAIN_FAMILIES for e in IDENTITIES[f] if not e.adopted],
                          ids=lambda e: e.label)
-def test_literal_variants_have_nonzero_residuals(e):
-    tables = families._tables(e.lhs[0])
-    residuals = transfer.residuals(tables, e, families._attached(e.lhs, e.subject))
-    assert all(not r.is_zero() for r in residuals)
+def test_literal_variant_adopted_is_refused_by_its_label(monkeypatch, e):
+    # the variant replaces the stream's adopted identity; a star variant's subject
+    # becomes the stream's gadget, so the variant is checked on the graphs it names
+    system = e.lhs[0]
+    table = [x for x in IDENTITIES[system] if not (x.adopted and x.lhs == e.lhs)]
+    monkeypatch.setitem(IDENTITIES, system, (*table, replace(e, adopted=True)))
+    if e.subject is not None:
+        monkeypatch.setitem(families._SYSTEMS[system], e.lhs, e.subject)
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial(system, e.start + 2)
+    assert ei.value.identity == e.label
 
 
 @pytest.mark.parametrize("system, index", [(f, i) for f in CHAIN_FAMILIES
