@@ -33,11 +33,11 @@ combination of the group sums per power joined by `<< B` Horner steps, never
 as one big product; B = 0 evaluates at x = 1, the count pass behind
 `sequence`.
 
-A packed pass runs only on a system _certify proves (transfer states the
-lemma), so every value is a domination polynomial, with coefficients in
-[0, 2^order) as d(G,k) <= C(order,k): the pass checks no value, and B is its
-top order in whole bytes.  Any other system is refused before a packed pass,
-naming the stream, identity or base that fails.
+A packed pass runs only the rule table _certify proves and returns, so every
+value is a domination polynomial, with coefficients in [0, 2^order) as
+d(G,k) <= C(order,k): the pass checks no value, and B is its top order in
+whole bytes.  Any other system is refused before a packed pass, naming the
+stream, identity or base that fails.
 """
 from __future__ import annotations
 
@@ -84,8 +84,9 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
 
 
 class RecurrenceConfigError(RuntimeError):
-    """A closed system _certify refuses: a table the pass cannot run, or the first pass
-    value that is not its transfer value, naming the stream, identity or base."""
+    """A closed system _certify refuses: a table the pass cannot run (such as a stream
+    with two or more adopted identities, or an adopted identity with no terms), or the
+    first pass value that is not its transfer value, naming the stream, identity or base."""
 
     def __init__(self, identity: str, detail: str):
         super().__init__(f"{identity}: {detail}")
@@ -366,11 +367,6 @@ T0_COUNT_SEED = 2  # formal seed of the count sequence; T_0 is not a graph here
 
 # -- stream evaluation ------------------------------------------------------------
 
-def _adopted(family: str) -> dict[str, Identity]:
-    """The identity that drives each stream of the family."""
-    return {e.lhs: e for e in IDENTITIES[family] if e.adopted}
-
-
 class _Packing:
     """Polynomials as the ints D(p, 2^bits), for a certified pass up to `top` vertices."""
 
@@ -386,13 +382,12 @@ class _Packing:
                         for i in range(0, len(raw), width)])
 
 
-def _pass(family: str, hi: int, bits: int | None):
-    """Yield (k, {stream: value}) for every stream of the system, k = first graph n..hi,
+def _pass(family: str, rules: tuple, hi: int, bits: int | None):
+    """Yield (k, {stream: value}) for every stream of `rules`, k = first graph n..hi,
     with no value checked: each value is D(X_k, 2^bits), or with bits None the polynomial.
     Only the last k the identities look back to are kept.
     """
-    rules = _adopted(family)
-    depth = max(e.depth for e in rules.values())
+    depth = max(e.depth for _, e in rules)
     window: dict[int, dict[str, object]] = {}
 
     def value(stream: str, k: int):
@@ -401,8 +396,7 @@ def _pass(family: str, hi: int, bits: int | None):
     for k in range(_first_n(family), hi + 1):
         window.pop(k - depth - 1, None)
         window[k] = cur = {}
-        for s in STREAMS[family]:
-            rule = rules[s]
+        for s, rule in rules:
             if k >= rule.start:
                 cur[s] = rule.rhs(k, value, bits)
             else:
@@ -418,24 +412,33 @@ def _tables(system: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _certify(tables: tuple) -> None:
-    """Prove the system `tables` names for every n, or raise RecurrenceConfigError.
+def _certify(tables: tuple) -> tuple:
+    """Prove the system `tables` names for every n and return the rule table a pass
+    runs: (stream, its one adopted identity in `tables`), in evaluation order.
 
-    Refuse first a table the pass cannot run: a stream with no adopted identity,
-    a read the pass has not evaluated (a later or foreign stream, or n ahead), a
-    start whose look-back reaches below the first graph n, a base missing below
-    the start or stated where the pass never reads it (so every stated base is
-    checked).  Then run the pass on polynomials to the largest start + 2, and
-    refuse its first value that is not its transfer value.
+    Refuse first a table the pass cannot run: a stream with no or several adopted
+    identities, an identity with no terms, a read the pass has not evaluated (a
+    later or foreign stream, or n ahead), a start whose look-back reaches below
+    the first graph n, a base missing below the start or stated where the pass
+    never reads it (so every stated base is checked).  Then run the pass on
+    polynomials to the largest start + 2 and compare each value with u_s^T M^k v0
+    (transfer's three-point lemma): below its stream's start it is a stated base,
+    from it on the rhs over values already matched, so a match is a zero residual;
+    if all match, induction over the evaluation order makes every later value its
+    graph's domination polynomial.  Refuse the first value that does not match.
     """
-    system, block, gadgets = tables[:3]
-    rules = _adopted(system)
+    system, block, gadgets, identities = tables[:4]
     streams = [s for s, _ in gadgets]
     first = _first_n(system)
+    rules = ()
     for i, s in enumerate(streams):
-        if s not in rules:
-            raise RecurrenceConfigError(f"{s} stream", "no adopted identity")
-        e = rules[s]
+        adopted = [e for e in identities if e.adopted and e.lhs == s]
+        if len(adopted) != 1:
+            raise RecurrenceConfigError(f"{s} stream", f"{len(adopted)} adopted identities"
+                                        if adopted else "no adopted identity")
+        e = adopted[0]
+        if not e.terms:
+            raise RecurrenceConfigError(e.label, "no terms")
         for t, off in (ref for _, refs in e.terms for ref in refs):
             if t not in (streams if off < 0 else streams[:i] if off == 0 else ()):
                 raise RecurrenceConfigError(
@@ -449,47 +452,47 @@ def _certify(tables: tuple) -> None:
             k = min(odd)
             raise RecurrenceConfigError(
                 f"{s} base n={k}", "not stated" if first <= k < e.start else "never read")
-    ws = transfer.states(block, max(e.start for e in rules.values()) + 2)
+        rules += ((s, e),)
+    ws = transfer.states(block, max(e.start for _, e in rules) + 2)
     u = {s: transfer.finish(g) for s, g in gadgets}
-    for k, cur in _pass(system, len(ws) - 1, None):
-        for s in streams:
+    for k, cur in _pass(system, rules, len(ws) - 1, None):
+        for s, e in rules:
             got, want = cur[s], transfer.dot(u[s], ws[k])
             if got == want:
                 continue
-            if k < rules[s].start:
+            if k < e.start:
                 raise RecurrenceConfigError(
                     f"{s} base n={k}", f"stated {got.to_text()}, transfer value {want.to_text()}")
             raise RecurrenceConfigError(
-                rules[s].label, f"nonzero residual {(want - got).to_text()} at n={k}")
-
-
-def _prove(system: str, hi: int) -> int:
-    """The top order of the system's pass up to hi, once the pass is sized and the system proven."""
-    top = _pass_top(system, hi)
-    _certify(_tables(system))
-    return top
+                e.label, f"nonzero residual {(want - got).to_text()} at n={k}")
+    return rules
 
 
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     """Yield (k, {stream: polynomial}) for k = lo..hi, bottom-up from the first graph n.
 
-    The one way code outside this module reads a closed system.  Its values
-    are held packed with one B for the pass, and only the listed streams at
-    k >= lo are unpacked.
+    Every listed stream of a closed system, as verify and q_stream/o_stream read
+    them.  Its values are held packed with one B for the pass, and only the
+    listed streams at k >= lo are unpacked.
     """
     for s in streams:
         if s not in STREAMS.get(family, ()):
             raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
-    packing = _Packing(_prove(family, hi))
-    for k, cur in _pass(family, hi, packing.bits):
+    top = _pass_top(family, hi)
+    rules = _certify(_tables(family))  # refused before anything is packed
+    packing = _Packing(top)
+    for k, cur in _pass(family, rules, hi, packing.bits):
         if k >= lo:
             yield k, {s: packing.unpack(cur[s]) for s in streams}
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
     """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
-    check_n(family, lo, hi, recurrence=True)
-    return [v[family] for _, v in stream_values(family[0], lo, hi, (family,))]
+    top = check_n(family, lo, hi, recurrence=True)
+    rules = _certify(_tables(family[0]))  # refused before anything is packed
+    packing = _Packing(top)
+    passed = _pass(family[0], rules, hi, packing.bits)
+    return [packing.unpack(cur[family]) for k, cur in passed if k >= lo]
 
 
 def family_polynomial(family: str, n: int) -> DomPoly:
@@ -500,8 +503,8 @@ def family_polynomial(family: str, n: int) -> DomPoly:
 def family_counts(family: str, lo: int, hi: int) -> list[int]:
     """D(X_n, 1) for n = lo..hi: the count pass (B = 0) of the proven system."""
     check_n(family, lo, hi, recurrence=True)
-    _prove(family[0], hi)
-    return [cur[family] for k, cur in _pass(family[0], hi, 0) if k >= lo]
+    passed = _pass(family[0], _certify(_tables(family[0])), hi, 0)
+    return [cur[family] for k, cur in passed if k >= lo]
 
 
 def count_sequence(family: str, max_n: int) -> tuple[int, list[int]]:
@@ -532,13 +535,9 @@ def t_count_sequence(n_max: int) -> list[int]:
 
 # -- Q and O chains: coupled streams ------------------------------------------------
 
-def _states(family: str, n: int) -> list[dict[str, DomPoly]]:
-    return [v for _, v in stream_values(family, 0, n, STREAMS[family])]
-
-
 def q_stream(n: int) -> list[dict[str, DomPoly]]:
     """Bottom-up Q-stream values for k = 0..n, each keyed by STREAMS["Q"]."""
-    return _states("Q", n)
+    return [v for _, v in stream_values("Q", 0, n, STREAMS["Q"])]
 
 
 def q_polynomial(n: int) -> DomPoly:
@@ -548,7 +547,7 @@ def q_polynomial(n: int) -> DomPoly:
 
 def o_stream(n: int) -> list[dict[str, DomPoly]]:
     """Bottom-up O-stream values for k = 0..n, each keyed by STREAMS["O"]."""
-    return _states("O", n)
+    return [v for _, v in stream_values("O", 0, n, STREAMS["O"])]
 
 
 def o_polynomial(n: int) -> DomPoly:

@@ -17,16 +17,11 @@ three-state vertex DP of Telle and Proskurowski, SIAM J. Discrete Math. 1997).
 M, v0 and every u_s are read from a block and gadgets only, never from the
 identities.
 
-The three-point lemma, on the pass.  An identity reading n - d..n is a fixed
+The three-point lemma.  An identity reading n - d..n is a fixed
 Z[x]-combination of such terms, so on the graphs its residual r_n = lhs_n -
 rhs_n is c^T M^(n - d) v0 for n >= d.  By Cayley-Hamilton, r_(n+3) = tr(M)
 r_(n+2) - e2(M) r_(n+1) + det(M) r_n, so r_n zero at start, start + 1 and
-start + 2 (start >= d) makes it zero for every n >= start.  families'
-certificate runs a system's pass on polynomials to the largest start + 2 and
-compares each value with u_s^T M^k v0: below its stream's start the value is a
-stated base, and from it on the rhs over values already matched, so a match
-is a zero residual.  If all match, induction over the pass's evaluation order
-makes every later value its graph's domination polynomial.
+start + 2 (start >= d) makes it zero for every n >= start.
 """
 from __future__ import annotations
 

@@ -142,10 +142,10 @@ def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text):
 ], ids=["family_polynomial", "family_counts", "stream_values"])
 def test_unproven_system_is_refused_before_any_pass(monkeypatch, call):
     # the certificate's own polynomial pass (bits None) may run; a packed or count pass may not
-    def no_packed_pass(family, hi, bits):
+    def no_packed_pass(family, rules, hi, bits):
         if bits is not None:
             raise AssertionError("a packed or count pass was started")
-        return real_pass(family, hi, bits)
+        return real_pass(family, rules, hi, bits)
 
     real_pass = families._pass
     monkeypatch.setattr(families, "_pass", no_packed_pass)
@@ -162,8 +162,17 @@ def _edit_q(monkeypatch, lhs: str, **changes) -> None:
         replace(e, **changes) if e.adopted and e.lhs == lhs else e for e in IDENTITIES["Q"]))
 
 
+def _wrong_q2_first(monkeypatch) -> None:
+    """Put a wrong adopted Q2 identity (multiplier 2x) before the real one."""
+    (_, refs), = families._Q_II.terms
+    wrong = replace(families._Q_II, terms=((_p("2x"), refs),))
+    monkeypatch.setitem(IDENTITIES, "Q", (wrong, *IDENTITIES["Q"]))
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda mp: _edit_q(mp, "Qtri", adopted=False), "Qtri stream: no adopted identity"),
+    (_wrong_q2_first, "Q2 stream: 2 adopted identities"),
+    (lambda mp: _edit_q(mp, "Qtri", terms=()), "Q triangle-gadget identity (i): no terms"),
     (lambda mp: _edit_q(mp, "Q+e", start=1),
      "Q pendant identity (iv): starts at n=1, reading n=-1 below the first graph n=0"),
     # Qtri_n = (2+2x) Q+e_n - Qp_n holds on the graphs, but Qp_n comes after Qtri_n
@@ -173,7 +182,7 @@ def _edit_q(monkeypatch, lhs: str, **changes) -> None:
     # the graph's own Qtri_1, so only the unread entry is wrong
     (lambda mp: mp.setitem(families._BASES["Qtri"], 1, _p("x^6+6x^5+15x^4+16x^3+5x^2")),
      "Qtri base n=1: never read"),
-], ids=["no adopted identity", "start before the look-back reaches a graph",
+], ids=["no adopted identity", "two adopted identities", "no terms", "start before the look-back reaches a graph",
         "read of a stream not yet evaluated", "missing base", "base never read"])
 def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
     edit(monkeypatch)
@@ -181,6 +190,34 @@ def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial("Q", 5)
     assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("system", CHAIN_FAMILIES)
+def test_certificate_returns_each_stream_with_its_adopted_identity(system):
+    rules = families._certify(families._tables(system))
+    assert tuple(s for s, _ in rules) == STREAMS[system]
+    for s, e in rules:
+        assert [e] == [x for x in IDENTITIES[system] if x.adopted and x.lhs == s]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: family_polynomials("Q+e", 2, 9),
+    lambda: families.family_counts("O", 1, 9),
+], ids=["family_polynomials", "family_counts"])
+def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call):
+    # with the certificate recomputed, its own polynomial pass (bits None) runs too
+    def recorder(family, rules, hi, bits):
+        if bits is not None:
+            started.append((family, rules))
+        return real_pass(family, rules, hi, bits)
+
+    started = []
+    real_pass = families._pass
+    monkeypatch.setattr(families, "_pass", recorder)
+    families._certify.cache_clear()
+    call()
+    (family, rules), = started
+    assert rules is families._certify(families._tables(family))
 
 
 def test_identity_is_checked_against_its_own_stream(monkeypatch):
