@@ -85,7 +85,8 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
 
 class RecurrenceConfigError(RuntimeError):
     """A closed system _certify refuses: a table the pass cannot run (such as a stream
-    with two or more adopted identities, or an adopted identity with no terms), or the
+    with two or more adopted identities, an adopted identity with no terms, with a term
+    that reads no stream or with a left side that is no stream of the system), or the
     first pass value that is not its transfer value, naming the stream, identity or base."""
 
     def __init__(self, identity: str, detail: str):
@@ -416,11 +417,12 @@ def _certify(tables: tuple) -> tuple:
     """Prove the system `tables` names for every n and return the rule table a pass
     runs: (stream, its one adopted identity in `tables`), in evaluation order.
 
-    Refuse first a table the pass cannot run: a stream with no or several adopted
-    identities, an identity with no terms, a read the pass has not evaluated (a
-    later or foreign stream, or n ahead), a start whose look-back reaches below
-    the first graph n, a base missing below the start or stated where the pass
-    never reads it (so every stated base is checked).  Then run the pass on
+    Refuse first a table the pass cannot run: an adopted identity whose left side
+    is no stream of the system, a stream with no or several adopted identities, an
+    identity with no terms or with a term that reads no stream, a read the pass has
+    not evaluated (a later or foreign stream, or n ahead), a start whose look-back
+    reaches below the first graph n, a base missing below the start or stated where
+    the pass never reads it (so every stated base is checked).  Then run the pass on
     polynomials to the largest start + 2 and compare each value with u_s^T M^k v0
     (transfer's three-point lemma): below its stream's start it is a stated base,
     from it on the rhs over values already matched, so a match is a zero residual;
@@ -430,6 +432,9 @@ def _certify(tables: tuple) -> tuple:
     system, block, gadgets, identities = tables[:4]
     streams = [s for s, _ in gadgets]
     first = _first_n(system)
+    for e in identities:
+        if e.adopted and e.lhs not in streams:
+            raise RecurrenceConfigError(e.label, f"left side {e.lhs} is no stream of {system}")
     rules = ()
     for i, s in enumerate(streams):
         adopted = [e for e in identities if e.adopted and e.lhs == s]
@@ -439,6 +444,8 @@ def _certify(tables: tuple) -> tuple:
         e = adopted[0]
         if not e.terms:
             raise RecurrenceConfigError(e.label, "no terms")
+        if not all(refs for _, refs in e.terms):
+            raise RecurrenceConfigError(e.label, "a term reads no stream")
         for t, off in (ref for _, refs in e.terms for ref in refs):
             if t not in (streams if off < 0 else streams[:i] if off == 0 else ()):
                 raise RecurrenceConfigError(

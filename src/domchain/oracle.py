@@ -21,17 +21,23 @@ skipped, since no low subset can complete it.  When some target vertex lies
 in no candidate mask, no subset covers the target, and the scan returns zero
 counts before it builds any table.  Counts stay below 2^30, so int64 is
 exact.
+
+numpy is imported inside the two functions that use it, not at module level,
+so a process that never enumerates subsets (`sequence`, `compute --method
+recurrence`) never pays the numpy import, most of its start-up time.
 """
 from __future__ import annotations
 
 import functools
 import math
 import operator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph import Graph
 from .poly import DomPoly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CAP = 24
 HARD_CAP = 30
@@ -67,6 +73,8 @@ def check_order(n: int, cap: int | None) -> None:
 @functools.cache  # built on first use per width, never at import
 def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Subsets of `bits` items sorted by size, and each size's first index."""
+    import numpy as np
+
     pop = np.zeros(1 << bits, dtype=np.int8)
     for v in range(bits):
         np.add(pop[: 1 << v], 1, out=pop[1 << v : 2 << v])
@@ -76,6 +84,8 @@ def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _scan(closed: list[int], target: int) -> np.ndarray:
     """counts[k] = number of k-subsets of the candidates whose closed masks cover target."""
+    import numpy as np
+
     counts = np.zeros(len(closed) + 1, dtype=np.int64)
     if target & ~functools.reduce(operator.or_, closed, 0):
         return counts  # some target vertex cannot be covered

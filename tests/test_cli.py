@@ -459,3 +459,22 @@ class TestInputBounds:
         assert (r.returncode, r.stderr) == (0, "")
         # D(K_n) = (1+x)^n - 1
         assert r.stdout == DomPoly([0, *(math.comb(490, k) for k in range(1, 491))]).to_text() + "\n"
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("argv, loads_numpy", [
+        (["sequence", "--family", "Q", "--max-n", "5"], False),
+        (["compute", "--family", "Q", "--n-range", "1:3", "--method", "recurrence"], False),
+        (["compute", "--family", "T", "--n", "2"], True),
+    ])
+    def test_numpy_is_loaded_only_by_a_scan(self, argv, loads_numpy):
+        # a fresh process: the closed recurrences never enumerate, so never import numpy
+        code = (f"import sys; from domchain.cli import main; code = main({argv!r}); "
+                f"print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+        src = os.path.dirname(os.path.dirname(domchain.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60)
+        assert (r.returncode, r.stderr) == (0, f"{loads_numpy}\n")
+        assert r.stdout

@@ -182,8 +182,15 @@ def _wrong_q2_first(monkeypatch) -> None:
     # the graph's own Qtri_1, so only the unread entry is wrong
     (lambda mp: mp.setitem(families._BASES["Qtri"], 1, _p("x^6+6x^5+15x^4+16x^3+5x^2")),
      "Qtri base n=1: never read"),
+    (lambda mp: _edit_q(mp, "Qtri", terms=(*IDENTITIES["Q"][0].terms, (_p("x"), ()))),
+     "Q triangle-gadget identity (i): a term reads no stream"),
+    (lambda mp: _edit_q(mp, "Qtri", terms=((_p("x"), ()),)),
+     "Q triangle-gadget identity (i): a term reads no stream"),
+    (lambda mp: mp.setitem(IDENTITIES, "Q", (*IDENTITIES["Q"], replace(IDENTITIES["Q"][0], lhs="Zed"))),
+     "Q triangle-gadget identity (i): left side Zed is no stream of Q"),
 ], ids=["no adopted identity", "two adopted identities", "no terms", "start before the look-back reaches a graph",
-        "read of a stream not yet evaluated", "missing base", "base never read"])
+        "read of a stream not yet evaluated", "missing base", "base never read",
+        "extra term reads no stream", "only term reads no stream", "left side no stream"])
 def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
     edit(monkeypatch)
     monkeypatch.setattr(families, "_pass", None)  # refused before even the certificate's pass

@@ -10,6 +10,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domchain import families, oracle, transfer
 from domchain.families import (
@@ -169,6 +170,81 @@ def test_changed_base_fails_certify(monkeypatch, stream, k):
     # the pass refuses the system, whether or not a value breaks a shape rule
     with pytest.raises(RecurrenceConfigError):
         family_polynomial(stream, max(k, families._first_n(stream, recurrence=True)))
+
+
+_STEP = st.sampled_from((-2, -1, 1, 2))
+_EDITS = ("coefficient", "offset", "swap read", "drop read", "add read", "start",
+          "drop term", "empty term", "add term", "zero multiplier", "base")
+
+
+@st.composite
+def _mutated_tables(draw):
+    """A system with its identity table and bases after one or two drawn edits."""
+    system = draw(st.sampled_from(CHAIN_FAMILIES))
+    streams = families.STREAMS[system]
+    ref = st.tuples(st.sampled_from(streams), st.integers(-3, 0))
+    table = list(IDENTITIES[system])
+    bases = {s: dict(families._BASES[s]) for s in streams}
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "base":
+            s = draw(st.sampled_from(streams))
+            k = draw(st.sampled_from(sorted(bases[s])))
+            bases[s][k] += DomPoly.monomial(draw(st.sampled_from((-1, 1))),
+                                            draw(st.integers(0, bases[s][k].degree + 1)))
+            continue
+        i = draw(st.sampled_from([i for i, e in enumerate(table) if e.adopted]))
+        e = table[i]
+        if edit == "start":
+            table[i] = replace(e, start=e.start + draw(_STEP))
+            continue
+        terms = [(m, list(refs)) for m, refs in e.terms]
+        if edit == "add term":
+            terms.append((DomPoly.monomial(draw(_STEP), draw(st.integers(0, 2))), [draw(ref)]))
+        elif terms:  # a term dropped by the first edit may have been the last
+            t = draw(st.integers(0, len(terms) - 1))
+            m, refs = terms[t]
+            if edit == "coefficient":
+                c = list(m.coeffs) + [0]
+                c[draw(st.integers(0, len(c) - 1))] += draw(_STEP)
+                terms[t] = (DomPoly(c), refs)
+            elif edit == "zero multiplier":
+                terms[t] = (DomPoly(), refs)
+            elif edit == "drop term":
+                del terms[t]
+            elif edit == "empty term":
+                refs.clear()
+            elif edit == "add read":
+                refs.append(draw(ref))
+            elif refs:
+                r = draw(st.integers(0, len(refs) - 1))
+                if edit == "offset":
+                    refs[r] = (refs[r][0], refs[r][1] + draw(st.sampled_from((-1, 1))))
+                elif edit == "swap read":  # any stream of the system: T has only one
+                    refs[r] = (draw(st.sampled_from(streams)), refs[r][1])
+                else:  # drop read
+                    del refs[r]
+        table[i] = replace(e, terms=tuple((m, tuple(refs)) for m, refs in terms))
+    return system, tuple(table), bases
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_tables())
+def test_mutated_table_is_refused_or_exact(mutated):
+    # every value of an accepted table equals u_s^T M^n v0, which the tests above
+    # check against the oracle and the reference DP; nothing else may escape
+    system, table, bases = mutated
+    first, streams = families._first_n(system), families.STREAMS[system]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(IDENTITIES, system, table)
+        for s, b in bases.items():
+            mp.setitem(families._BASES, s, b)
+        try:
+            got = [v for _, v in families.stream_values(system, first, 8, streams)]
+        except RecurrenceConfigError:
+            return
+    for s in streams:
+        assert [v[s] for v in got] == _transfer_values(s, 8)[first:]
 
 
 def _anchor_holds(stream: str, want: dict[int, DomPoly]) -> bool:
