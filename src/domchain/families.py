@@ -25,13 +25,22 @@ polynomial view here and the closed-stream checks in verify.py; a
 literal-paper variant is an entry with adopted=False that carries its erratum.
 
 The pass runs on packed integers (Kronecker substitution, as in Harvey,
-arXiv:0712.4046, but packed once per pass rather than once per product):
-each stream value D(X_k, x) is held as the int D(X_k, 2^B), and a base packs
-as its eval_at(2^B).  Evaluation at 2^B is a ring homomorphism, so
-Identity.rhs applies a multiplier power by power of x, a small-integer
-combination of the group sums per power joined by `<< B` Horner steps, never
-as one big product; B = 0 evaluates at x = 1, the count pass behind
-`sequence`.
+arXiv:0712.4046, but packed once per pass rather than once per product).
+Every coefficient of D(X_k, x) below x^gamma(X_k) is zero, so each stream
+value is held as a pair (w, e) with D(X_k, 2^B) = w << e*B and e <= gamma:
+the zero digits below x^e are never stored, shifted or added.  A base is held
+with e its own gamma.  Evaluation at 2^B is a ring homomorphism, so
+Identity.rhs applies a multiplier power by power of x, never as one big
+product: a group of refs is their sum at the least e among them (each other
+ref shifted up to it), a term's coefficient a at x^i lands at the effective
+power i + e_group, and the small-integer combinations per effective power are
+joined by Horner steps from the top power down, each gap in one shift.  The
+result's e is the lowest effective power, and no shift follows it.  e <= gamma
+holds through any identity: no term a x^i G has a power below i + e_group,
+so neither has their sum, and cancellation can only raise gamma.  B = 0 is
+the count pass behind `sequence`, on the plain ints D(X_k, 1), each
+multiplier read at x = 1: it has no zero digits to strip, and carrying e
+there doubled its time.
 
 A packed pass runs only the rule table _certify proves and returns, so every
 value is a domination polynomial, with coefficients in [0, 2^order) as
@@ -218,23 +227,41 @@ class Identity:
     def rhs(self, n: int, value: Callable[[str, int], object], shift: int | None = None):
         """Right-hand side at n, with value(stream, k) supplying each referenced term.
 
-        With `shift`, every term is the int D(X, 2^shift) and so is the result
-        (see the module docstring).
+        With shift 0 every term is the int D(X, 1), and so is the result.  With a
+        positive `shift` every term is a pair (w, e) with D(X, 2^shift) = w << e*shift,
+        and so is the result (see the module docstring).
         """
-        groups = [reduce(add, (value(s, n + off) for s, off in refs)) for _, refs in self.terms]
         if shift is None:
+            groups = [reduce(add, (value(s, n + off) for s, off in refs)) for _, refs in self.terms]
             return reduce(add, (mult * g for (mult, _), g in zip(self.terms, groups)))
-        acc = 0
-        for terms in self._by_power:
-            acc <<= shift
-            for a, g in terms:
-                if a == 1:
-                    acc += groups[g]
+        if not shift:
+            acc = 0
+            for at_one, _, refs in self._by_term:
+                g = reduce(add, (value(s, n + off) for s, off in refs))
+                acc += g if at_one == 1 else at_one * g
+            return acc
+        at: dict[int, list[tuple[int, int]]] = {}  # effective power -> (coefficient, group)
+        for _, powers, refs in self._by_term:
+            held = [value(s, n + off) for s, off in refs]
+            e = min(f for _, f in held)
+            g = reduce(add, (w if f == e else w << (f - e) * shift for w, f in held))
+            for i, a in powers:
+                at.setdefault(i + e, []).append((a, g))
+        acc = last = None
+        for p in sorted(at, reverse=True):  # Horner over the effective powers, gaps in one shift
+            if acc is not None:
+                acc <<= (last - p) * shift
+            for a, g in at[p]:
+                if acc is None:  # the first term, not copied into a zero accumulator
+                    acc = g if a == 1 else a * g
+                elif a == 1:
+                    acc += g
                 elif a == -1:
-                    acc -= groups[g]
+                    acc -= g
                 else:
-                    acc += a * groups[g]
-        return acc
+                    acc += a * g
+            last = p
+        return acc, last
 
     @cached_property
     def depth(self) -> int:
@@ -242,11 +269,10 @@ class Identity:
         return max(-off for _, refs in self.terms for _, off in refs)
 
     @cached_property
-    def _by_power(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """(coefficient, group index) pairs of each power of x, from the top power down."""
-        top = max(mult.degree for mult, _ in self.terms)
-        return tuple(tuple((mult[i], g) for g, (mult, _) in enumerate(self.terms) if mult[i])
-                     for i in range(top, -1, -1))
+    def _by_term(self) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[Ref, ...]], ...]:
+        """Per term: its multiplier at x = 1, its nonzero (power, coefficient) pairs, its refs."""
+        return tuple((mult.eval_at(1), tuple((i, a) for i, a in enumerate(mult.coeffs) if a), refs)
+                     for mult, refs in self.terms)
 
 
 _p = DomPoly.from_text
@@ -369,23 +395,35 @@ T0_COUNT_SEED = 2  # formal seed of the count sequence; T_0 is not a graph here
 # -- stream evaluation ------------------------------------------------------------
 
 class _Packing:
-    """Polynomials as the ints D(p, 2^bits), for a certified pass up to `top` vertices."""
+    """Polynomials packed at x = 2^bits, for a certified pass up to `top` vertices."""
 
     def __init__(self, top: int):
         # certified coefficients lie in [0, 2^order) with order <= top
         self.bits = -(-top // 8) * 8
 
-    def unpack(self, v: int) -> DomPoly:
-        """The polynomial whose coefficients are the B-bit digits of v >= 0, read as byte slices."""
+    def unpack(self, v: int, e: int = 0) -> DomPoly:
+        """x^e times the polynomial whose coefficients are the B-bit digits of v >= 0,
+        read as byte slices."""
         width = self.bits // 8
         raw = v.to_bytes((v.bit_length() // self.bits + 1) * width, "little")
-        return DomPoly([int.from_bytes(raw[i:i + width], "little")
-                        for i in range(0, len(raw), width)])
+        return DomPoly([0] * e + [int.from_bytes(raw[i:i + width], "little")
+                                  for i in range(0, len(raw), width)])
+
+
+def _held(p: DomPoly, bits: int | None):
+    """p as a pass at `bits` holds it: itself (None), the int D(p, 1) (0), or the pair
+    (w, e) with e = gamma(p) and D(p, 2^bits) = w << e*bits."""
+    if bits is None:
+        return p
+    if not bits:
+        return p.eval_at(1)
+    e = p.gamma() or 0
+    return DomPoly(p.coeffs[e:]).eval_at(1 << bits), e
 
 
 def _pass(family: str, rules: tuple, hi: int, bits: int | None):
     """Yield (k, {stream: value}) for every stream of `rules`, k = first graph n..hi,
-    with no value checked: each value is D(X_k, 2^bits), or with bits None the polynomial.
+    with no value checked: each value is D(X_k, x) as _held holds it at `bits`.
     Only the last k the identities look back to are kept.
     """
     depth = max(e.depth for _, e in rules)
@@ -401,7 +439,7 @@ def _pass(family: str, rules: tuple, hi: int, bits: int | None):
             if k >= rule.start:
                 cur[s] = rule.rhs(k, value, bits)
             else:
-                cur[s] = _BASES[s][k] if bits is None else _BASES[s][k].eval_at(1 << bits)
+                cur[s] = _held(_BASES[s][k], bits)
         yield k, cur
 
 
@@ -490,7 +528,7 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     packing = _Packing(top)
     for k, cur in _pass(family, rules, hi, packing.bits):
         if k >= lo:
-            yield k, {s: packing.unpack(cur[s]) for s in streams}
+            yield k, {s: packing.unpack(*cur[s]) for s in streams}
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
@@ -499,7 +537,7 @@ def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
     rules = _certify(_tables(family[0]))  # refused before anything is packed
     packing = _Packing(top)
     passed = _pass(family[0], rules, hi, packing.bits)
-    return [packing.unpack(cur[family]) for k, cur in passed if k >= lo]
+    return [packing.unpack(*cur[family]) for k, cur in passed if k >= lo]
 
 
 def family_polynomial(family: str, n: int) -> DomPoly:

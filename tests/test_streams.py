@@ -244,3 +244,28 @@ def test_packing_round_trips_every_coefficient_below_two_to_the_top(top):
     assert packing.bits % 8 == 0 and top <= packing.bits < top + 8
     p = DomPoly([0, (1 << top) - 1, *[0] * 20, 1, (1 << top) - 2, 1])
     assert packing.unpack(p.eval_at(1 << packing.bits)) == p
+
+
+@pytest.mark.parametrize("top, e", [(1, 1), (8, 2), (9, 5), (830, 277)])
+def test_packing_round_trips_below_a_power_of_x(top, e):
+    # a base is held as (w, e) with e its gamma; digits 0, 1 and 2^top - 1 above x^e
+    packing = families._Packing(top)
+    p = DomPoly([*[0] * e, 1, 0, (1 << top) - 1, 0, 0, 1])
+    w, gamma = families._held(p, packing.bits)
+    assert gamma == e and w % (1 << packing.bits) == 1
+    assert packing.unpack(w, gamma) == p
+
+
+@pytest.mark.parametrize("system", CHAIN_FAMILIES)
+def test_packed_exponent_is_gamma_of_every_stream_value(system):
+    # the pass holds D(X_k, 2^B) as w << e*B with e carried as a lower bound of gamma;
+    # a looser bound would move zero digits below x^gamma through every step again
+    hi = 150
+    rules = families._certify(families._tables(system))
+    packing = families._Packing(families.check_n(system, hi, recurrence=True))
+    seen = 0
+    for k, cur in families._pass(system, rules, hi, packing.bits):
+        for s, (w, e) in cur.items():
+            assert e == packing.unpack(w, e).gamma(), (s, k)
+            seen += 1
+    assert seen == len(STREAMS[system]) * (hi + 1 - families._first_n(system))

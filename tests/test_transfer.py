@@ -132,6 +132,32 @@ def test_transfer_values_equal_reference_dp(reference, stream):
         assert _transfer_at(stream, DP_TOP, x, mod)[first:] == want[first:]
 
 
+def _digit_bits(system: str, hi: int) -> int:
+    """B of the packed pass to hi."""
+    return families._Packing(families._pass_top(system, hi)).bits
+
+
+@pytest.mark.parametrize("system", CHAIN_FAMILIES)
+def test_packed_pass_equals_transfer_values(system):
+    # the full polynomials, not only their values at x = 1, of every stream to n = 300,
+    # so across every step of gamma (T's at every other n); then, to n = 150, at each
+    # n where B grows by a byte, the last value of the pass before it and the first after
+    streams = families.STREAMS[system]
+    first = families._first_n(system)
+    ws = transfer.states(families._BLOCKS[system], DP_TOP)
+    want = {s: [transfer.dot(_finish(s), w) for w in ws] for s in streams}
+    got = dict(families.stream_values(system, first, DP_TOP, streams))
+    for s in streams:
+        assert [got[k][s] for k in range(first, DP_TOP + 1)] == want[s][first:]
+    grows = [n for n in range(first + 1, DP_TOP // 2 + 1)
+             if _digit_bits(system, n) > _digit_bits(system, n - 1)]
+    assert grows
+    for n in grows:
+        for hi in (n - 1, n):
+            (_, values), = families.stream_values(system, hi, hi, streams)
+            assert values == {s: want[s][hi] for s in streams}
+
+
 @pytest.mark.parametrize("e", [e for f in CHAIN_FAMILIES for e in IDENTITIES[f] if not e.adopted],
                          ids=lambda e: e.label)
 def test_literal_variant_adopted_is_refused_by_its_label(monkeypatch, e):
