@@ -7,8 +7,8 @@ its own check, 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 import time
@@ -43,21 +43,9 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _csv(header: list[str], rows) -> str:
-    """CSV text of the header and rows: one writerow call per row, the call perfbench times."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    for row in (header, *rows):
-        w.writerow(row)
-    return buf.getvalue()
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as f:
-            f.write(text)
+def _sink(output: str | None):
+    """stdout, or the --output file opened for writing: for use once every refusal is past."""
+    return contextlib.nullcontext(sys.stdout) if output is None else open(output, "w")
 
 
 # -- compute -----------------------------------------------------------------
@@ -94,30 +82,36 @@ def cmd_compute(args) -> int:
             raise ValueError("--n and --n-range need --family")
         ns = range(args.n, args.n + 1) if args.n is not None else _parse_range(args.n_range)
         if args.method == "recurrence":
-            polys = families.family_polynomials(args.family, ns[0], ns[-1])
+            results = families.family_values(args.family, ns[0], ns[-1])
         else:
             families.check_n(args.family, ns[0], ns[-1])
             if args.method == "oracle":
                 for n in ns:
                     oracle.check_order(families.family_order(args.family, n), cap)
-            polys = [_compute_one(args.method, families.build_chain(args.family, n), cap)
-                     for n in ns]
-        results = list(zip(ns, polys))
+            results = [(n, _compute_one(args.method, families.build_chain(args.family, n), cap))
+                       for n in ns]
 
-    single = len(results) == 1 and args.n_range is None
-    if args.format == "json":
-        records = [_record(args.family, n, p) for n, p in results]
-        out = json.dumps(records[0] if single else records, indent=2) + "\n"
-    elif args.format == "csv":
-        out = _csv(["family", "n", "degree", "gamma", "count_at_1", "polynomial"],
-                   ([args.family or "", n, p.degree, p.gamma(), p.eval_at(1), p.to_text()]
-                    for n, p in results))
-    else:
-        lines = [p.to_text() if single else
-                 f"n={n} degree={p.degree} gamma={p.gamma()} count={p.eval_at(1)} {p.to_text()}"
-                 for n, p in results]
-        out = "\n".join(lines) + "\n"
-    _emit(out, args.output)
+    single = args.n_range is None
+    with _sink(args.output) as out:
+        if args.format == "csv":
+            w = csv.writer(out)  # one writerow call per row, the call perfbench times
+            w.writerow(["family", "n", "degree", "gamma", "count_at_1", "polynomial"])
+            for n, p in results:
+                w.writerow([args.family or "", n, p.degree, p.gamma(), p.eval_at(1), p.to_text()])
+        elif args.format == "json" and single:
+            (n, p), = results
+            out.write(json.dumps(_record(args.family, n, p), indent=2) + "\n")
+        elif args.format == "json":  # json.dumps(records, indent=2), one record at a time
+            sep = "[\n  "
+            for n, p in results:
+                record = json.dumps(_record(args.family, n, p), indent=2)
+                out.write(sep + record.replace("\n", "\n  "))
+                sep = ",\n  "
+            out.write("\n]\n")
+        else:
+            for n, p in results:
+                out.write(f"{p.to_text()}\n" if single else f"n={n} degree={p.degree} "
+                          f"gamma={p.gamma()} count={p.eval_at(1)} {p.to_text()}\n")
     return EXIT_OK
 
 
@@ -131,11 +125,9 @@ def cmd_verify(args) -> int:
         include_literal=args.literal_paper,
         cap=args.cap,
     )
-    if args.format == "json":
-        out = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    else:
-        out = report.to_text()
-    _emit(out, args.output)
+    with _sink(args.output) as out:
+        out.write(json.dumps(report.to_json_dict(), indent=2) + "\n" if args.format == "json"
+                  else report.to_text())
     return EXIT_OK if report.all_match else EXIT_MISMATCH
 
 
@@ -143,17 +135,17 @@ def cmd_verify(args) -> int:
 
 def cmd_sequence(args) -> int:
     start, values = families.count_sequence(args.family, args.max_n)
-    if args.format == "json":
-        out = json.dumps({
-            "family": args.family,
-            "start_n": start,
-            "values": [str(v) for v in values],
-        }, indent=2) + "\n"
-    elif args.format == "csv":
-        out = _csv(["n", "count"], enumerate(values, start=start))
-    else:
-        out = ", ".join(str(v) for v in values) + "\n"
-    _emit(out, args.output)
+    with _sink(args.output) as out:
+        if args.format == "json":
+            out.write(json.dumps({"family": args.family, "start_n": start,
+                                  "values": [str(v) for v in values]}, indent=2) + "\n")
+        elif args.format == "csv":
+            w = csv.writer(out)
+            w.writerow(["n", "count"])
+            for row in enumerate(values, start=start):
+                w.writerow(row)
+        else:
+            out.write(", ".join(str(v) for v in values) + "\n")
     return EXIT_OK
 
 
@@ -162,28 +154,29 @@ def cmd_sequence(args) -> int:
 def cmd_bench(args) -> int:
     cap = oracle.check_cap(args.cap)
     ns = _parse_range(args.n_range)
-    families.check_n(args.family, ns[0], ns[-1], recurrence=True)
-    rows = []
+    passed = families.family_values(args.family, ns[0], ns[-1])
     mismatch = False
-    for n in ns:
-        order = families.family_order(args.family, n)
-        t0 = time.perf_counter()
-        rec = families.family_polynomial(args.family, n)
-        rec_s = time.perf_counter() - t0
-        if order > cap:
-            rows.append([args.family, n, order, 2 ** order, "", f"{rec_s:.6f}", "",
-                         f"skipped: {order} vertices exceeds cap {cap}"])
-            continue
-        g = families.build_chain(args.family, n)
-        t0 = time.perf_counter()
-        orc = oracle.domination_polynomial(g, cap=cap)
-        orc_s = time.perf_counter() - t0
-        mismatch |= orc != rec
-        speedup = orc_s / rec_s if rec_s > 0 else float("inf")
-        rows.append([args.family, n, order, 2 ** order, f"{orc_s:.6f}", f"{rec_s:.6f}",
-                     f"{speedup:.1f}", "ok" if orc == rec else "MISMATCH"])
-    _emit(_csv(["family", "n", "vertices", "subsets",
-                "oracle_seconds", "recurrence_seconds", "speedup", "status"], rows), args.output)
+    with _sink(args.output) as out:
+        w = csv.writer(out)
+        w.writerow(["family", "n", "vertices", "subsets",
+                    "oracle_seconds", "recurrence_seconds", "speedup", "status"])
+        rec_s, t0 = 0.0, time.perf_counter()
+        for n, rec in passed:  # rec_s: the pass's own time to reach n, the oracle's left out
+            rec_s += time.perf_counter() - t0
+            order = families.family_order(args.family, n)
+            if order > cap:
+                w.writerow([args.family, n, order, 2 ** order, "", f"{rec_s:.6f}", "",
+                            f"skipped: {order} vertices exceeds cap {cap}"])
+            else:
+                g = families.build_chain(args.family, n)
+                t0 = time.perf_counter()
+                orc = oracle.domination_polynomial(g, cap=cap)
+                orc_s = time.perf_counter() - t0
+                mismatch |= orc != rec
+                speedup = orc_s / rec_s if rec_s > 0 else float("inf")
+                w.writerow([args.family, n, order, 2 ** order, f"{orc_s:.6f}", f"{rec_s:.6f}",
+                            f"{speedup:.1f}", "ok" if orc == rec else "MISMATCH"])
+            t0 = time.perf_counter()
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 

@@ -132,9 +132,9 @@ def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
     return top
 
 
-def _pass_top(system: str, n: int) -> int:
-    """check_n for every stream the system's pass packs at n; the largest order."""
-    return max(check_n(s, n) for s in STREAMS[system])
+def _pass_top(system: str, *ns: int) -> int:
+    """check_n for every stream the system's pass packs, at each n; the largest order."""
+    return max(check_n(s, *ns) for s in STREAMS[system])
 
 
 # -- constructors ----------------------------------------------------------
@@ -514,30 +514,32 @@ def _certify(tables: tuple) -> tuple:
 
 
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
-    """Yield (k, {stream: polynomial}) for k = lo..hi, bottom-up from the first graph n.
+    """(k, {stream: polynomial}) for k = lo..hi, yielded bottom-up from the first graph n.
 
     Every listed stream of a closed system, as verify and q_stream/o_stream read
-    them.  Its values are held packed with one B for the pass, and only the
-    listed streams at k >= lo are unpacked.
+    them; every refusal is raised by the call itself.  Its values are held packed
+    with one B for the pass, and only the listed streams at k >= lo are unpacked.
     """
     for s in streams:
         if s not in STREAMS.get(family, ()):
             raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
-    top = _pass_top(family, hi)
+    top = _pass_top(family, lo, hi)
     rules = _certify(_tables(family))  # refused before anything is packed
     packing = _Packing(top)
-    for k, cur in _pass(family, rules, hi, packing.bits):
-        if k >= lo:
-            yield k, {s: packing.unpack(*cur[s]) for s in streams}
+    return ((k, {s: packing.unpack(*cur[s]) for s in streams})
+            for k, cur in _pass(family, rules, hi, packing.bits) if k >= lo)
+
+
+def family_values(family: str, lo: int, hi: int):
+    """(n, family_polynomial(family, n)) for n = lo..hi, yielded from one pass up to hi;
+    every refusal is raised by this call."""
+    check_n(family, lo, hi, recurrence=True)
+    return ((n, v[family]) for n, v in stream_values(family[0], lo, hi, (family,)))
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
     """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
-    top = check_n(family, lo, hi, recurrence=True)
-    rules = _certify(_tables(family[0]))  # refused before anything is packed
-    packing = _Packing(top)
-    passed = _pass(family[0], rules, hi, packing.bits)
-    return [packing.unpack(*cur[family]) for k, cur in passed if k >= lo]
+    return [p for _, p in family_values(family, lo, hi)]
 
 
 def family_polynomial(family: str, n: int) -> DomPoly:

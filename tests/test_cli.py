@@ -178,6 +178,41 @@ class TestCompute:
         assert code == 1 and out == ""
         assert "start at n = 1" in err
 
+    @pytest.mark.parametrize("method", ["recurrence", "oracle"])
+    def test_n_range_json_bytes(self, capsys, method):
+        # written a record at a time, the bytes of one json.dumps of the whole list
+        code, out, _ = run(capsys, "compute", "--family", "Q", "--n-range", "1:4",
+                           "--method", method, "--format", "json")
+        records = [cli._record("Q", n, families.family_polynomial("Q", n)) for n in range(1, 5)]
+        assert (code, out) == (0, json.dumps(records, indent=2) + "\n")
+
+    @pytest.mark.parametrize("argv, want", [
+        (("--family", "T", "--n", "5000"), 1),
+        (("--family", "Q", "--n-range", "3330:3334", "--method", "recurrence"), 1),
+        (("--family", "O", "--n-range", "1:5", "--method", "recurrence"), 2),
+        (("--family", "Q", "--n-range", "5:9", "--cap", "24"), 3),
+    ], ids=["vertex limit", "vertex limit, recurrence range", "unproven base",
+            "cap within a range"])
+    def test_refused_run_creates_no_output_file(self, capsys, monkeypatch, tmp_path, argv,
+                                                want):
+        if want == 2:  # an Op_0 base that is not the graph's own
+            monkeypatch.setitem(families._BASES["Op"], 0, DomPoly.from_text("x^4+4x^3+6x^2+3x"))
+        dest = tmp_path / "out.txt"
+        code, out, err = run(capsys, "compute", *argv, "--output", str(dest))
+        assert (code, out) == (want, "") and err.startswith("domchain: ")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_recurrence_range_holds_one_polynomial_at_a_time(self, fmt):
+        # each member is written as the pass yields it; a list of all 150 members
+        # and of their lines peaks at many times one top-n polynomial
+        families.family_polynomial("Q", 150)  # the certificate is cached before either peak
+        one = TestSequence._peak_bytes(lambda: families.family_polynomial("Q", 150))
+        rng = TestSequence._peak_bytes(lambda: cli.main([
+            "compute", "--family", "Q", "--n-range", "1:150", "--method", "recurrence",
+            "--format", fmt, "--output", os.devnull]))
+        assert rng <= 2 * one, (rng, one)
+
 
 class TestInternalCheckFailures:
     """A closed system its certificate refutes, or the edge identity failing its own check,
@@ -305,7 +340,8 @@ class TestBench:
         assert code == 1
 
     def test_mismatch_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(families, "family_polynomial", lambda family, n: DomPoly.x())
+        monkeypatch.setattr(families, "family_values",
+                            lambda family, lo, hi: ((n, DomPoly.x()) for n in range(lo, hi + 1)))
         code, out, _ = run(capsys, "bench", "--family", "T", "--n-range", "1:2")
         assert code == 2
         assert [r[-1] for r in csv.reader(io.StringIO(out))][1:] == ["MISMATCH"] * 2
@@ -316,6 +352,22 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--family", fam, "--n-range", f"{lo}:3")
         assert code == 0
         assert [r[-1] for r in csv.reader(io.StringIO(out))][1:] == ["ok"] * (4 - lo)
+
+    def test_rows_come_from_one_packed_pass(self, capsys, monkeypatch):
+        # the certificate's own polynomial pass (bits None) is not counted
+        def recorder(family, rules, hi, bits):
+            if bits is not None:
+                started.append((family, hi))
+            return real_pass(family, rules, hi, bits)
+
+        started = []
+        real_pass = families._pass
+        monkeypatch.setattr(families, "_pass", recorder)
+        code, out, _ = run(capsys, "bench", "--family", "Q", "--n-range", "1:5")
+        assert (code, started) == (0, [("Q", 5)])
+        # each row's recurrence time is the pass's time to reach its n
+        seconds = [float(r[5]) for r in list(csv.reader(io.StringIO(out)))[1:]]
+        assert len(seconds) == 5 and seconds == sorted(seconds)
 
 
 class TestInputBounds:
@@ -409,6 +461,7 @@ class TestInputBounds:
             raise AssertionError("a recurrence was run")
 
         monkeypatch.setattr(families, "family_polynomial", no_pass)
+        monkeypatch.setattr(families, "_pass", no_pass)
         code, out, err = run(capsys, "bench", "--family", "Q", "--n-range", "3332:3333")
         assert (code, out, err) == (
             1, "", "domchain: error: family Q+e at n=3333 has 10001 vertices, limit is 10000\n")

@@ -118,7 +118,12 @@ class TestConstructors:
         (lambda: q_stream(3334), "family Q at n=3334 has 10003 vertices"),
         (lambda: next(families.stream_values("Q", 1, 3334, ("Q",))),
          "family Q at n=3334 has 10003 vertices"),
-    ], ids=["build_chain", "t_count_sequence", "family_polynomial", "q_stream", "stream_values"])
+        # refused by the call itself, before any value is asked for
+        (lambda: families.stream_values("Q", 1, 3334, ("Q",)),
+         "family Q at n=3334 has 10003 vertices"),
+        (lambda: families.family_values("Q", 1, 3334), "family Q at n=3334 has 10003 vertices"),
+    ], ids=["build_chain", "t_count_sequence", "family_polynomial", "q_stream", "stream_values",
+            "stream_values, no next", "family_values, no next"])
     def test_member_past_vertex_limit_is_refused_before_building(self, monkeypatch, call,
                                                                  message):
         # the same rule and message as the CLI's; no graph or packed pass is started
@@ -130,6 +135,17 @@ class TestConstructors:
         with pytest.raises(ValueError) as ei:
             call()
         assert str(ei.value) == f"{message}, limit is 10000"
+
+    @pytest.mark.parametrize("system, lo, message", [
+        ("Q", -5, "family Q graphs start at n = 0, got -5"),
+        ("T", 0, "family T graphs start at n = 1, got 0"),
+    ])
+    def test_stream_values_refuses_lo_below_first_graph(self, system, lo, message):
+        # the pass starts at the first graph n; a lo below it is no graph, and it is
+        # refused by the call, before any value is asked for
+        with pytest.raises(ValueError) as ei:
+            families.stream_values(system, lo, 2, (system,))
+        assert str(ei.value) == message
 
     def test_vertex_limit_is_inclusive(self):
         # T_4999 has 9999 vertices

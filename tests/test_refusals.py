@@ -44,7 +44,7 @@ ROWS = [
     ("malformed range", ("compute", "--family", "T", "--n-range", "1-3", "--method", "recurrence"),
      ("pass", "build_chain"), 1, "domchain: error: expected range 'A:B', got '1-3'\n"),
     ("empty range", ("bench", "--family", "T", "--n-range", "5:3"),
-     ("family_polynomial", "build_chain"), 1, "domchain: error: empty range '5:3'\n"),
+     ("family_polynomial", "pass", "build_chain"), 1, "domchain: error: empty range '5:3'\n"),
     ("first graph n", ("compute", "--family", "T", "--n", "0"),
      ("build_chain", "scan"), 1, "domchain: error: family T graphs start at n = 1, got 0\n"),
     ("first graph n, split range", ("compute", "--family", "Q", "--n-range", "-1:30"),
@@ -56,7 +56,7 @@ ROWS = [
     ("negative T sequence length", ("sequence", "--family", "T", "--max-n", "-1"),
      ("pass", "packing"), 1, "domchain: error: n_max >= 0 required, got -1\n"),
     ("first recurrence n, bench", ("bench", "--family", "T", "--n-range=-1:3"),
-     ("family_polynomial", "build_chain"), 1,
+     ("family_polynomial", "pass", "build_chain"), 1,
      "domchain: error: family T recurrences start at n = 1, got -1\n"),
     ("verify max n", ("verify", "--max-n", "0"),
      ("build_chain",), 1, "domchain: error: max_n >= 1 required, got 0\n"),
@@ -83,7 +83,7 @@ ROWS = [
      ("build_chain", "scan"), 1,
      "domchain: error: cap 31 is outside the hard safety limits 0..30\n"),
     ("hard cap, bench", ("bench", "--cap", "-1"),
-     ("family_polynomial", "build_chain"), 1,
+     ("family_polynomial", "pass", "build_chain"), 1,
      "domchain: error: cap -1 is outside the hard safety limits 0..30\n"),
     ("depth bound", ("compute", "--file", "{K600}", "--method", "vertex"),
      ("recurse",), 1,

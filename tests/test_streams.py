@@ -209,8 +209,9 @@ def test_certificate_returns_each_stream_with_its_adopted_identity(system):
 
 @pytest.mark.parametrize("call", [
     lambda: family_polynomials("Q+e", 2, 9),
+    lambda: list(families.family_values("Q2", 0, 9)),
     lambda: families.family_counts("O", 1, 9),
-], ids=["family_polynomials", "family_counts"])
+], ids=["family_polynomials", "family_values", "family_counts"])
 def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call):
     # with the certificate recomputed, its own polynomial pass (bits None) runs too
     def recorder(family, rules, hi, bits):
