@@ -93,11 +93,11 @@ def cmd_compute(args) -> int:
 
     single = args.n_range is None
     with _sink(args.output) as out:
-        if args.format == "csv":
-            w = csv.writer(out)  # one writerow call per row, the call perfbench times
-            w.writerow(["family", "n", "degree", "gamma", "count_at_1", "polynomial"])
+        if args.format == "csv":  # csv.writer's bytes: no field here needs quoting
+            out.write("family,n,degree,gamma,count_at_1,polynomial\r\n")
             for n, p in results:
-                w.writerow([args.family or "", n, p.degree, p.gamma(), p.eval_at(1), p.to_text()])
+                out.write(f"{args.family or ''},{n},{p.degree},{p.gamma()},{p.eval_at(1)},"
+                          f"{p.to_text()}\r\n")
         elif args.format == "json" and single:
             (n, p), = results
             out.write(json.dumps(_record(args.family, n, p), indent=2) + "\n")

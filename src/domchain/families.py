@@ -14,7 +14,7 @@ read from these three tables.
 
 The X2/Qp/Op shapes are fixed by oracle arbitration of the published
 identities, not by the stated one-line descriptions: the two-pendant star
-reproduces the n=0 base polynomial but fails every identity that consumes
+has the paper's stated n=0 polynomial but fails every identity that consumes
 the X(2) stream from n=1 on, while the pendant path satisfies all of them
 (and symmetrically for the primed stream).  The errata in IDENTITIES record
 the evidence.
@@ -28,8 +28,8 @@ The pass runs on packed integers (Kronecker substitution, as in Harvey,
 arXiv:0712.4046, but packed once per pass rather than once per product).
 Every coefficient of D(X_k, x) below x^gamma(X_k) is zero, so each stream
 value is held as a pair (w, e) with D(X_k, 2^B) = w << e*B and e <= gamma:
-the zero digits below x^e are never stored, shifted or added.  A base is held
-with e its own gamma.  Evaluation at 2^B is a ring homomorphism, so
+the zero digits below x^e are never stored, shifted or added.  An initial value
+is held with e its own gamma.  Evaluation at 2^B is a ring homomorphism, so
 Identity.rhs applies a multiplier power by power of x, never as one big
 product: a group of refs is their sum at the least e among them (each other
 ref shifted up to it), a term's coefficient a at x^i lands at the effective
@@ -45,8 +45,9 @@ there doubled its time.
 A packed pass runs only the rule table _certify proves and returns, so every
 value is a domination polynomial, with coefficients in [0, 2^order) as
 d(G,k) <= C(order,k): the pass checks no value, and B is its top order in
-whole bytes.  Any other system is refused before a packed pass, naming the
-stream, identity or base that fails.
+whole bytes.  Its initial values are the transfer values u_s^T M^k v0, read
+from the block and gadgets.  Any other system is refused before a packed
+pass, naming the stream or identity that fails.
 """
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ class RecurrenceConfigError(RuntimeError):
     """A closed system _certify refuses: a table the pass cannot run (such as a stream
     with two or more adopted identities, an adopted identity with no terms, with a term
     that reads no stream or with a left side that is no stream of the system), or the
-    first pass value that is not its transfer value, naming the stream, identity or base."""
+    first pass value that is not its transfer value, naming the stream or identity."""
 
     def __init__(self, identity: str, detail: str):
         super().__init__(f"{identity}: {detail}")
@@ -114,16 +115,21 @@ def _first_n(family: str, recurrence: bool = False) -> int:
     return 1 if family == "T" or (recurrence and family in CHAIN_FAMILIES) else 0
 
 
+def _check_first(family: str, n: int, recurrence: bool = False) -> None:
+    """Refuse an n below the family's first graph n (or `recurrence` n)."""
+    low = _first_n(family, recurrence)
+    if n < low:
+        what = "recurrences" if recurrence else "graphs"
+        raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
+
+
 def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
     """Refuse, for each n in turn, an n below the first graph n (or `recurrence` n),
     then an oversized member or, with `recurrence`, an oversized value of any stream
     its system's pass packs; return the largest vertex count checked."""
-    low = _first_n(family, recurrence)
     top = 0
     for n in ns:
-        if n < low:
-            what = "recurrences" if recurrence else "graphs"
-            raise ValueError(f"family {family} {what} start at n = {low}, got {n}")
+        _check_first(family, n, recurrence)
         order = family_order(family, n)  # the family's own member first, so its refusal names it
         if order > MAX_EDGE_LIST_VERTICES:
             raise ValueError(f"family {family} at n={n} has {order} vertices, "
@@ -160,6 +166,7 @@ def _attached(family: str, attachment: str | None) -> Graph | None:
 def family_order(family: str, n: int, attachment: str | None = None) -> int:
     """Vertex count of the family member; `attachment` overrides the adopted shape."""
     gadget = _attached(family, attachment)
+    _check_first(family, n)
     return _BLOCKS[family[0]][0] * n + (1 if gadget is None else gadget.n)
 
 
@@ -373,22 +380,6 @@ IDENTITIES: dict[str, tuple[Identity, ...]] = {
     ),
 }
 
-# stated initial conditions below each adopted identity's start n; the trivial
-# ones are stated too (X_0 is one vertex, x; X+e_0 is one edge, x^2+2x)
-_BASES = {
-    "T": {1: _p("x^3+3x^2+3x"), 2: _p("x^5+5x^4+10x^3+8x^2+x")},
-    "Q": {0: _p("x"), 1: _p("x^4+4x^3+6x^2"), 2: _p("x^7+7x^6+21x^5+29x^4+15x^3")},
-    "Q+e": {0: _p("x^2+2x"), 1: _p("x^5+5x^4+9x^3+4x^2")},
-    "Qtri": {0: _p("x^3+3x^2+3x")},
-    "Q2": {0: _p("x^3+3x^2+x")},
-    "Qp": {0: _p("x^3+3x^2+x")},
-    "O": {0: _p("x"), 1: _p("x^4+4x^3+6x^2")},
-    "O+e": {0: _p("x^2+2x"), 1: _p("x^5+5x^4+9x^3+4x^2")},
-    "Otri": {0: _p("x^3+3x^2+3x")},
-    "O2": {0: _p("x^3+3x^2+x")},
-    "Op": {0: _p("x^4+4x^3+6x^2+2x")},
-}
-
 T0_COUNT_SEED = 2  # formal seed of the count sequence; T_0 is not a graph here
 
 
@@ -426,7 +417,7 @@ def _pass(family: str, rules: tuple, hi: int, bits: int | None):
     with no value checked: each value is D(X_k, x) as _held holds it at `bits`.
     Only the last k the identities look back to are kept.
     """
-    depth = max(e.depth for _, e in rules)
+    depth = max(e.depth for _, e, _ in rules)
     window: dict[int, dict[str, object]] = {}
 
     def value(stream: str, k: int):
@@ -435,45 +426,43 @@ def _pass(family: str, rules: tuple, hi: int, bits: int | None):
     for k in range(_first_n(family), hi + 1):
         window.pop(k - depth - 1, None)
         window[k] = cur = {}
-        for s, rule in rules:
+        for s, rule, initial in rules:
             if k >= rule.start:
                 cur[s] = rule.rhs(k, value, bits)
             else:
-                cur[s] = _held(_BASES[s][k], bits)
+                cur[s] = _held(initial[k], bits)
         yield k, cur
 
 
 def _tables(system: str) -> tuple:
     """The live tables _certify reads: its cache key."""
-    streams = STREAMS[system]
-    return (system, _BLOCKS[system], tuple((s, _attached(s, None)) for s in streams),
-            IDENTITIES[system], tuple((s, tuple(_BASES.get(s, {}).items())) for s in streams))
+    gadgets = tuple((s, _attached(s, None)) for s in STREAMS[system])
+    return system, _BLOCKS[system], gadgets, IDENTITIES[system]
 
 
 @lru_cache(maxsize=None)
 def _certify(tables: tuple) -> tuple:
     """Prove the system `tables` names for every n and return the rule table a pass
-    runs: (stream, its one adopted identity in `tables`), in evaluation order.
+    runs: (stream, its one adopted identity in `tables`, its initial values u_s^T M^k v0
+    for k < start, read from the first graph n on), in evaluation order.
 
     Refuse first a table the pass cannot run: an adopted identity whose left side
     is no stream of the system, a stream with no or several adopted identities, an
     identity with no terms or with a term that reads no stream, a read the pass has
-    not evaluated (a later or foreign stream, or n ahead), a start whose look-back
-    reaches below the first graph n, a base missing below the start or stated where
-    the pass never reads it (so every stated base is checked).  Then run the pass on
-    polynomials to the largest start + 2 and compare each value with u_s^T M^k v0
-    (transfer's three-point lemma): below its stream's start it is a stated base,
-    from it on the rhs over values already matched, so a match is a zero residual;
-    if all match, induction over the evaluation order makes every later value its
-    graph's domination polynomial.  Refuse the first value that does not match.
+    not evaluated (a later or foreign stream, or n ahead), or a start whose look-back
+    reaches below the first graph n.  Then run the pass on polynomials to the largest
+    start + 2 and refuse the first value from its stream's start on that is not
+    u_s^T M^k v0 (transfer's three-point lemma): each is the rhs over values already
+    matched, so a match is a zero residual, and if all match, induction over the
+    evaluation order makes every later value its graph's domination polynomial.
     """
-    system, block, gadgets, identities = tables[:4]
+    system, block, gadgets, identities = tables
     streams = [s for s, _ in gadgets]
     first = _first_n(system)
     for e in identities:
         if e.adopted and e.lhs not in streams:
             raise RecurrenceConfigError(e.label, f"left side {e.lhs} is no stream of {system}")
-    rules = ()
+    pairs = []
     for i, s in enumerate(streams):
         adopted = [e for e in identities if e.adopted and e.lhs == s]
         if len(adopted) != 1:
@@ -492,24 +481,16 @@ def _certify(tables: tuple) -> tuple:
             raise RecurrenceConfigError(
                 e.label, f"starts at n={e.start}, reading n={e.start - e.depth} below the "
                          f"first graph n={first}")
-        odd = set(range(first, e.start)) ^ set(_BASES.get(s, {}))  # missing, or never read
-        if odd:
-            k = min(odd)
-            raise RecurrenceConfigError(
-                f"{s} base n={k}", "not stated" if first <= k < e.start else "never read")
-        rules += ((s, e),)
-    ws = transfer.states(block, max(e.start for _, e in rules) + 2)
+        pairs.append((s, e))
+    ws = transfer.states(block, max(e.start for _, e in pairs) + 2)
     u = {s: transfer.finish(g) for s, g in gadgets}
+    want = {s: [transfer.dot(u[s], w) for w in ws] for s in streams}
+    rules = tuple((s, e, tuple(want[s][:e.start])) for s, e in pairs)
     for k, cur in _pass(system, rules, len(ws) - 1, None):
-        for s, e in rules:
-            got, want = cur[s], transfer.dot(u[s], ws[k])
-            if got == want:
-                continue
-            if k < e.start:
+        for s, e, _ in rules:
+            if cur[s] != want[s][k]:
                 raise RecurrenceConfigError(
-                    f"{s} base n={k}", f"stated {got.to_text()}, transfer value {want.to_text()}")
-            raise RecurrenceConfigError(
-                e.label, f"nonzero residual {(want - got).to_text()} at n={k}")
+                    e.label, f"nonzero residual {(want[s][k] - cur[s]).to_text()} at n={k}")
     return rules
 
 
@@ -523,6 +504,8 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     for s in streams:
         if s not in STREAMS.get(family, ()):
             raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
+    if family not in STREAMS:
+        raise ValueError(f"no system {family!r}; systems are {STREAMS}")
     top = _pass_top(family, lo, hi)
     rules = _certify(_tables(family))  # refused before anything is packed
     packing = _Packing(top)

@@ -1,10 +1,43 @@
 import importlib.util
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from domchain import families
 from domchain.graph import Graph, disjoint_union
+from domchain.poly import DomPoly
+
+_p = DomPoly.from_text
+
+# the paper's stated initial values of the T/Q/O systems, below each adopted
+# identity's start n; the trivial ones too (X_0 is one vertex, x; X+e_0 is one
+# edge, x^2+2x).  The pass takes its own from the transfer matrix, and these
+# are checked against it and against the oracle.
+STATED_BASES = {
+    "T": {1: _p("x^3+3x^2+3x"), 2: _p("x^5+5x^4+10x^3+8x^2+x")},
+    "Q": {0: _p("x"), 1: _p("x^4+4x^3+6x^2"), 2: _p("x^7+7x^6+21x^5+29x^4+15x^3")},
+    "Q+e": {0: _p("x^2+2x"), 1: _p("x^5+5x^4+9x^3+4x^2")},
+    "Qtri": {0: _p("x^3+3x^2+3x")},
+    "Q2": {0: _p("x^3+3x^2+x")},
+    "Qp": {0: _p("x^3+3x^2+x")},
+    "O": {0: _p("x"), 1: _p("x^4+4x^3+6x^2")},
+    "O+e": {0: _p("x^2+2x"), 1: _p("x^5+5x^4+9x^3+4x^2")},
+    "Otri": {0: _p("x^3+3x^2+3x")},
+    "O2": {0: _p("x^3+3x^2+x")},
+    "Op": {0: _p("x^4+4x^3+6x^2+2x")},
+}
+
+
+def with_multiplier(monkeypatch, fam: str, lhs: str, old: str, new: str) -> None:
+    """Replace one multiplier of the adopted identity for `lhs` in the live table."""
+    def swap(e):
+        if not (e.adopted and e.lhs == lhs):
+            return e
+        return replace(e, terms=tuple((_p(new) if m == _p(old) else m, refs)
+                                      for m, refs in e.terms))
+    monkeypatch.setitem(families.IDENTITIES, fam, tuple(map(swap, families.IDENTITIES[fam])))
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:

@@ -16,6 +16,7 @@ from domchain import cli, decompose, families
 from domchain.families import FAMILY_NAMES, t_polynomial
 from domchain.graph import complete_graph, format_edge_list, path_graph
 from domchain.poly import DomPoly
+from conftest import with_multiplier
 
 
 def run(capsys, *argv):
@@ -191,12 +192,12 @@ class TestCompute:
         (("--family", "Q", "--n-range", "3330:3334", "--method", "recurrence"), 1),
         (("--family", "O", "--n-range", "1:5", "--method", "recurrence"), 2),
         (("--family", "Q", "--n-range", "5:9", "--cap", "24"), 3),
-    ], ids=["vertex limit", "vertex limit, recurrence range", "unproven base",
+    ], ids=["vertex limit", "vertex limit, recurrence range", "unproven system",
             "cap within a range"])
     def test_refused_run_creates_no_output_file(self, capsys, monkeypatch, tmp_path, argv,
                                                 want):
-        if want == 2:  # an Op_0 base that is not the graph's own
-            monkeypatch.setitem(families._BASES["Op"], 0, DomPoly.from_text("x^4+4x^3+6x^2+3x"))
+        if want == 2:  # Op identity (iii) with -2x for -x
+            with_multiplier(monkeypatch, "O", "Op", "-x", "-2x")
         dest = tmp_path / "out.txt"
         code, out, err = run(capsys, "compute", *argv, "--output", str(dest))
         assert (code, out) == (want, "") and err.startswith("domchain: ")

@@ -20,6 +20,7 @@ from domchain.families import (
 )
 from domchain.graph import complete_graph
 from domchain.poly import DomPoly
+from conftest import STATED_BASES
 
 
 class TestConstructors:
@@ -105,7 +106,10 @@ class TestConstructors:
          "no stream 'Q+e' in the Q+e system; systems are {"),
         (lambda: next(families.stream_values("Q", 0, 2, ("O",))),
          "no stream 'O' in the Q system; systems are {"),
-    ], ids=["unknown family", "unknown kind", "plain with kind", "gadget system", "foreign stream"])
+        (lambda: families.stream_values("X", 0, 1, ()), "no system 'X'; systems are {"),
+        (lambda: families.stream_values("Q+e", 0, 1, ()), "no system 'Q+e'; systems are {"),
+    ], ids=["unknown family", "unknown kind", "plain with kind", "gadget system", "foreign stream",
+            "unknown system, no stream", "gadget system, no stream"])
     def test_unknown_names_are_input_errors(self, call, message):
         with pytest.raises(ValueError) as ei:
             call()
@@ -145,6 +149,17 @@ class TestConstructors:
         # refused by the call, before any value is asked for
         with pytest.raises(ValueError) as ei:
             families.stream_values(system, lo, 2, (system,))
+        assert str(ei.value) == message
+
+    @pytest.mark.parametrize("family, n, message", [
+        ("Q", -3, "family Q graphs start at n = 0, got -3"),
+        ("T", 0, "family T graphs start at n = 1, got 0"),
+        ("Op", -1, "family Op graphs start at n = 0, got -1"),
+    ])
+    def test_family_order_refuses_n_below_first_graph(self, family, n, message):
+        # there is no such graph to count the vertices of; check_n's rule and message
+        with pytest.raises(ValueError) as ei:
+            family_order(family, n)
         assert str(ei.value) == message
 
     def test_vertex_limit_is_inclusive(self):
@@ -265,7 +280,7 @@ class TestSquareChains:
     @pytest.mark.parametrize("system", CHAIN_FAMILIES)
     def test_systems_table_fits_the_identities(self, system):
         # the pass evaluates STREAMS[system] in order at each n, each stream by its
-        # one adopted identity from its start and by stated bases below it
+        # one adopted identity from its start and by its transfer values below it
         order = families.STREAMS[system]
         adopted = [e for e in IDENTITIES[system] if e.adopted]
         assert sorted(e.lhs for e in adopted) == sorted(order), \
@@ -276,9 +291,6 @@ class TestSquareChains:
                 assert s in (earlier if off == 0 else order), (
                     f"{e.label} reads {s} at offset {off}, but STREAMS[{system!r}] "
                     f"evaluates only {earlier} before {e.lhs}")
-            missing = (set(range(families._first_n(e.lhs), e.start))
-                       - set(families._BASES.get(e.lhs, ())))
-            assert not missing, f"{e.lhs} has no stated base at n in {sorted(missing)}"
 
     def test_stream_records_are_keyed_by_stream_name(self):
         for record in q_stream(3):
@@ -339,8 +351,12 @@ def test_verify_refuses_an_empty_family_selection():
         verify.verify_families(max_n=1, family_subset=())
 
 
-@pytest.mark.parametrize("stream, k", [(s, k) for s, bases in families._BASES.items()
+@pytest.mark.parametrize("stream, k", [(s, k) for s, bases in STATED_BASES.items()
                                        for k in bases])
 def test_stated_bases_equal_oracle(stream, k):
-    # every initial condition is stated, the trivial X_0 and X+e_0 included
-    assert families._BASES[stream][k] == oracle.domination_polynomial(build_chain(stream, k))
+    # every initial value the paper states, the trivial X_0 and X+e_0 included, is
+    # its graph's polynomial and the value the pass takes from the transfer matrix
+    want = STATED_BASES[stream][k]
+    assert want == oracle.domination_polynomial(build_chain(stream, k))
+    (_, values), = families.stream_values(stream[0], k, k, (stream,))
+    assert values[stream] == want

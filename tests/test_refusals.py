@@ -10,7 +10,7 @@ import pytest
 
 from domchain import cli, families, oracle
 from domchain.graph import Graph, complete_graph, format_edge_list
-from domchain.poly import DomPoly
+from conftest import with_multiplier
 
 _FILES = {
     "K600": format_edge_list(complete_graph(600)),
@@ -32,7 +32,6 @@ _WORK = {
     "parse": (cli, "parse_edge_list"),
 }
 
-_OP_BASE = "x^4+4x^3+6x^2+3x"  # the unproven row's Op_0: the graph's own is x^4+4x^3+6x^2+2x
 
 
 def _limit(family: str, n: int, order: int) -> str:
@@ -103,7 +102,7 @@ ROWS = [
     # the certificate runs its own polynomial pass; the packed pass must not start
     ("unproven system", ("compute", "--family", "O", "--n", "5", "--method", "recurrence"),
      ("packing", "from_edges"), 2,
-     f"domchain: Op base n=0: stated {_OP_BASE}, transfer value x^4+4x^3+6x^2+2x\n"),
+     "domchain: O primed identity (iii): nonzero residual x^4+3x^3+x^2 at n=1\n"),
 ]
 
 
@@ -126,8 +125,8 @@ def test_refusal(capsys, monkeypatch, paths, argv, work, code, err):
     for name in work:
         monkeypatch.setattr(*_WORK[name], _no_work)
     monkeypatch.setattr(sys, "getrecursionlimit", lambda: 1000)  # the documented depth bound
-    if code == 2:  # the unproven system's row
-        monkeypatch.setitem(families._BASES["Op"], 0, DomPoly.from_text(_OP_BASE))
+    if code == 2:  # the unproven system's row: Op identity (iii) with -2x for -x
+        with_multiplier(monkeypatch, "O", "Op", "-x", "-2x")
     got = cli.main([a.format(**paths) for a in argv])
     out = capsys.readouterr()
     assert (got, out.out, out.err) == (code, "", err)

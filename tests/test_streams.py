@@ -1,10 +1,10 @@
 """The closed T/Q/O stream pass against a plain DomPoly evaluation of the identity table.
 
 The reference here evaluates every adopted Identity.rhs on DomPoly values over
-the stated bases in a plain loop, independent of how families evaluates the
-streams.  The failure tests pin the exact RecurrenceConfigError messages: an
-edited table is refused by its certificate before any packed pass, naming the
-stream, identity or base that fails.
+the paper's stated initial values in a plain loop, independent of how families
+evaluates the streams.  The failure tests pin the exact RecurrenceConfigError
+messages: an edited table is refused by its certificate before any packed pass,
+naming the stream or identity that fails.
 """
 from dataclasses import replace
 
@@ -23,7 +23,9 @@ from domchain.families import (
     o_stream,
     q_stream,
 )
+from domchain.graph import Graph
 from domchain.poly import DomPoly
+from conftest import STATED_BASES, with_multiplier
 
 _p = DomPoly.from_text
 TOP = 40
@@ -38,7 +40,7 @@ def _plain_streams(family: str, hi: int) -> dict[tuple[str, int], DomPoly]:
             if k >= rules[s].start:
                 vals[s, k] = rules[s].rhs(k, lambda t, j: vals[t, j])
             else:
-                vals[s, k] = families._BASES[s][k]
+                vals[s, k] = STATED_BASES[s][k]
     return vals
 
 
@@ -71,35 +73,6 @@ def test_stream_states_equal_family_polynomial(fam, stream):
 
 # -- an unproven system is refused before any pass, by what the certificate refutes ---------
 
-@pytest.mark.parametrize("stream, k, text, call, message", [
-    ("T", 1, "x^4+3x^2+3x", "T",
-     "T base n=1: stated x^4+3x^2+3x, transfer value x^3+3x^2+3x"),
-    ("Q2", 0, "2x^3+3x^2+x", "Q",
-     "Q2 base n=0: stated 2x^3+3x^2+x, transfer value x^3+3x^2+x"),
-    ("Otri", 0, "x^3+3x^2+3x+1", "O+e",
-     "Otri base n=0: stated x^3+3x^2+3x+1, transfer value x^3+3x^2+3x"),
-    ("Op", 0, "x^4+4x^3-6x^2+2x", "Op",
-     "Op base n=0: stated x^4+4x^3-6x^2+2x, transfer value x^4+4x^3+6x^2+2x"),
-    ("Qtri", 0, f"x^3+3x^2+{1 << 40}x", "Qtri",
-     f"Qtri base n=0: stated x^3+3x^2+{1 << 40}x, transfer value x^3+3x^2+3x"),
-])
-def test_bad_base_is_rejected(monkeypatch, stream, k, text, call, message):
-    monkeypatch.setitem(families._BASES[stream], k, _p(text))
-    with pytest.raises(RecurrenceConfigError) as ei:
-        family_polynomial(call, 6)
-    assert str(ei.value) == message
-
-
-def _with_multiplier(monkeypatch, fam: str, lhs: str, old: str, new: str) -> None:
-    """Replace one multiplier of the adopted identity for `lhs`."""
-    def swap(e):
-        if not (e.adopted and e.lhs == lhs):
-            return e
-        return replace(e, terms=tuple((_p(new) if m == _p(old) else m, refs)
-                                      for m, refs in e.terms))
-    monkeypatch.setitem(IDENTITIES, fam, tuple(map(swap, IDENTITIES[fam])))
-
-
 _T_RULE = "T-chain order-2 polynomial recurrence: nonzero residual"
 
 
@@ -116,23 +89,39 @@ _T_RULE = "T-chain order-2 polynomial recurrence: nonzero residual"
      "O-chain theorem recurrence: nonzero residual 2x^7+10x^6+18x^5+8x^4 at n=2"),
 ])
 def test_wrong_multiplier_is_rejected(monkeypatch, fam, lhs, old, new, message):
-    _with_multiplier(monkeypatch, fam, lhs, old, new)
+    with_multiplier(monkeypatch, fam, lhs, old, new)
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial(fam, 8)
     assert str(ei.value) == message
 
 
-@pytest.mark.parametrize("text", [
-    "x^4+4x^3-6x^2+2x", "-x^4+4x^3+6x^2+2x", "x^4+4x^3+6x^2+2x+1", "x^5+4x^3+6x^2+2x",
-    "x^4+4x^3+32x^2+2x", "x^4+4x^3+31x^2+2x",
-    "x^4+4x^3+6x^2+3x",  # has every shape of a domination polynomial of 4 vertices
-])
-def test_base_that_is_not_the_graph_fails_the_certificate(monkeypatch, text):
-    # any Op_0 base but the graph's own breaks the proof, and the system is refused
-    monkeypatch.setitem(families._BASES["Op"], 0, _p(text))
+_OP_III = "O primed identity (iii): nonzero residual"
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 1),), f"{_OP_III} -x^7-7x^6-20x^5-25x^4-9x^3 at n=1"),
+    (((0, 1), (1, 2), (2, 0)), f"{_OP_III} -x^7-6x^6-15x^5-15x^4-2x^3+x^2 at n=1"),
+    (((0, 1), (1, 2)), f"{_OP_III} -x^7-6x^6-15x^5-16x^4-5x^3-3x^2 at n=1"),
+    (((0, 1), (0, 2)), f"{_OP_III} -x^7-6x^6-15x^5-17x^4-8x^3-x^2 at n=1"),
+    (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), f"{_OP_III} 2x^4+6x^3+2x^2 at n=1"),
+    (((0, 1), (1, 2), (2, 3), (3, 0)), f"{_OP_III} -x^4-3x^3-4x^2 at n=1"),
+    (((0, 1), (1, 2), (2, 0), (0, 3)), f"{_OP_III} -x^5-4x^4-4x^3-x^2 at n=1"),
+    # the same Op_0 polynomial as the diamond's own, x^4+4x^3+6x^2+2x
+    (((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), f"{_OP_III} x^4+3x^3-2x^2 at n=1"),
+    (((0, 1), (1, 2), (2, 0), (0, 3), (2, 3)), None),
+], ids=["pendant", "triangle", "pendant path", "two pendants", "K4", "C4", "paw",
+        "diamond at a degree-2 vertex", "diamond"])
+def test_gadget_that_is_not_the_graph_fails_the_certificate(monkeypatch, edges, message):
+    # the initial values follow whatever gadget Op attaches, so a wrong one is refused
+    # by the identity it breaks; only the diamond at a degree-3 vertex passes
+    gadget = Graph.from_edges(max(map(max, edges)) + 1, edges)
+    monkeypatch.setitem(families._GADGETS, "diamond", gadget)
+    if message is None:
+        assert family_polynomial("Op", 2) == oracle.domination_polynomial(build_chain("Op", 2))
+        return
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial("Op", 2)
-    assert str(ei.value) == f"Op base n=0: stated {text}, transfer value x^4+4x^3+6x^2+2x"
+    assert str(ei.value) == message
 
 
 @pytest.mark.parametrize("call", [
@@ -149,11 +138,10 @@ def test_unproven_system_is_refused_before_any_pass(monkeypatch, call):
 
     real_pass = families._pass
     monkeypatch.setattr(families, "_pass", no_packed_pass)
-    monkeypatch.setitem(families._BASES["Op"], 0, _p("x^4+4x^3+6x^2+3x"))
+    with_multiplier(monkeypatch, "O", "Op", "-x", "-2x")
     with pytest.raises(RecurrenceConfigError) as ei:
         call()
-    assert str(ei.value) == ("Op base n=0: stated x^4+4x^3+6x^2+3x, "
-                             "transfer value x^4+4x^3+6x^2+2x")
+    assert str(ei.value) == f"{_OP_III} x^4+3x^3+x^2 at n=1"
 
 
 def _edit_q(monkeypatch, lhs: str, **changes) -> None:
@@ -178,10 +166,6 @@ def _wrong_q2_first(monkeypatch) -> None:
     # Qtri_n = (2+2x) Q+e_n - Qp_n holds on the graphs, but Qp_n comes after Qtri_n
     (lambda mp: _edit_q(mp, "Qtri", terms=((_p("2+2x"), (("Q+e", 0),)), (_p("-1"), (("Qp", 0),)))),
      "Q triangle-gadget identity (i): reads Qp at offset 0, which the pass has not evaluated"),
-    (lambda mp: mp.delitem(families._BASES["Q+e"], 1), "Q+e base n=1: not stated"),
-    # the graph's own Qtri_1, so only the unread entry is wrong
-    (lambda mp: mp.setitem(families._BASES["Qtri"], 1, _p("x^6+6x^5+15x^4+16x^3+5x^2")),
-     "Qtri base n=1: never read"),
     (lambda mp: _edit_q(mp, "Qtri", terms=(*IDENTITIES["Q"][0].terms, (_p("x"), ()))),
      "Q triangle-gadget identity (i): a term reads no stream"),
     (lambda mp: _edit_q(mp, "Qtri", terms=((_p("x"), ()),)),
@@ -189,7 +173,7 @@ def _wrong_q2_first(monkeypatch) -> None:
     (lambda mp: mp.setitem(IDENTITIES, "Q", (*IDENTITIES["Q"], replace(IDENTITIES["Q"][0], lhs="Zed"))),
      "Q triangle-gadget identity (i): left side Zed is no stream of Q"),
 ], ids=["no adopted identity", "two adopted identities", "no terms", "start before the look-back reaches a graph",
-        "read of a stream not yet evaluated", "missing base", "base never read",
+        "read of a stream not yet evaluated",
         "extra term reads no stream", "only term reads no stream", "left side no stream"])
 def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
     edit(monkeypatch)
@@ -201,10 +185,13 @@ def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
 
 @pytest.mark.parametrize("system", CHAIN_FAMILIES)
 def test_certificate_returns_each_stream_with_its_adopted_identity(system):
+    # and, below the identity's start, the stream's transfer values as its initial values
     rules = families._certify(families._tables(system))
-    assert tuple(s for s, _ in rules) == STREAMS[system]
-    for s, e in rules:
+    assert tuple(s for s, _, _ in rules) == STREAMS[system]
+    first = families._first_n(system)
+    for s, e, initial in rules:
         assert [e] == [x for x in IDENTITIES[system] if x.adopted and x.lhs == s]
+        assert initial[first:] == tuple(STATED_BASES[s][k] for k in range(first, e.start))
 
 
 @pytest.mark.parametrize("call", [

@@ -88,7 +88,8 @@ def _dp_at(reference, stream: str, hi: int, x: int, mod: int | None = None) -> l
         adj[label[a]] |= 1 << label[b]
         adj[label[b]] |= 1 << label[a]
     vals = reference.dp_prefix_values(g.n, adj, x, mod)
-    width, extra = families._BLOCKS[stream[0]][0], family_order(stream, 0) - 1
+    width = families._BLOCKS[stream[0]][0]
+    extra = g.n - 1 - width * hi  # the gadget's new vertices
     return [vals[extra + width * k] for k in range(hi + 1)]
 
 
@@ -187,38 +188,20 @@ def test_changed_multiplier_coefficient_fails_certify(monkeypatch, system, index
         family_polynomial(e.lhs, e.start + 2)
 
 
-@pytest.mark.parametrize("stream, k", [(s, k) for s, bases in families._BASES.items()
-                                       for k in bases])
-def test_changed_base_fails_certify(monkeypatch, stream, k):
-    p = families._BASES[stream][k]
-    monkeypatch.setitem(families._BASES[stream], k, p + DomPoly.monomial(1, 1))
-    assert not _certified(stream[0])
-    # the pass refuses the system, whether or not a value breaks a shape rule
-    with pytest.raises(RecurrenceConfigError):
-        family_polynomial(stream, max(k, families._first_n(stream, recurrence=True)))
-
-
 _STEP = st.sampled_from((-2, -1, 1, 2))
 _EDITS = ("coefficient", "offset", "swap read", "drop read", "add read", "start",
-          "drop term", "empty term", "add term", "zero multiplier", "base")
+          "drop term", "empty term", "add term", "zero multiplier")
 
 
 @st.composite
 def _mutated_tables(draw):
-    """A system with its identity table and bases after one or two drawn edits."""
+    """A system with its identity table after one or two drawn edits."""
     system = draw(st.sampled_from(CHAIN_FAMILIES))
     streams = families.STREAMS[system]
     ref = st.tuples(st.sampled_from(streams), st.integers(-3, 0))
     table = list(IDENTITIES[system])
-    bases = {s: dict(families._BASES[s]) for s in streams}
     for _ in range(draw(st.integers(1, 2))):
         edit = draw(st.sampled_from(_EDITS))
-        if edit == "base":
-            s = draw(st.sampled_from(streams))
-            k = draw(st.sampled_from(sorted(bases[s])))
-            bases[s][k] += DomPoly.monomial(draw(st.sampled_from((-1, 1))),
-                                            draw(st.integers(0, bases[s][k].degree + 1)))
-            continue
         i = draw(st.sampled_from([i for i, e in enumerate(table) if e.adopted]))
         e = table[i]
         if edit == "start":
@@ -251,7 +234,7 @@ def _mutated_tables(draw):
                 else:  # drop read
                     del refs[r]
         table[i] = replace(e, terms=tuple((m, tuple(refs)) for m, refs in terms))
-    return system, tuple(table), bases
+    return system, tuple(table)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -259,12 +242,10 @@ def _mutated_tables(draw):
 def test_mutated_table_is_refused_or_exact(mutated):
     # every value of an accepted table equals u_s^T M^n v0, which the tests above
     # check against the oracle and the reference DP; nothing else may escape
-    system, table, bases = mutated
+    system, table = mutated
     first, streams = families._first_n(system), families.STREAMS[system]
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(IDENTITIES, system, table)
-        for s, b in bases.items():
-            mp.setitem(families._BASES, s, b)
         try:
             got = [v for _, v in families.stream_values(system, first, 8, streams)]
         except RecurrenceConfigError:
