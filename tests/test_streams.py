@@ -194,6 +194,47 @@ def test_certificate_returns_each_stream_with_its_adopted_identity(system):
         assert initial[first:] == tuple(STATED_BASES[s][k] for k in range(first, e.start))
 
 
+@pytest.mark.parametrize("stream, k", [(s, k) for s, bases in STATED_BASES.items()
+                                       for k in bases])
+def test_pass_takes_each_initial_value_from_its_rule(stream, k):
+    # below its start a stream's value is its rule's initial value, as _held holds it
+    # on polynomials, as a count and packed; an edited one is yielded in its place
+    system = stream[0]
+    rules = families._certify(families._tables(system))
+    edited = tuple((s, e, tuple(v + DomPoly.monomial(1, 1) if s == stream and j == k else v
+                                for j, v in enumerate(initial)))
+                   for s, e, initial in rules)
+    packing = families._Packing(families.check_n(system, k + 2, recurrence=True))
+    for bits in (None, 0, packing.bits):
+        for table, want in ((rules, STATED_BASES[stream][k]),
+                            (edited, STATED_BASES[stream][k] + DomPoly.monomial(1, 1))):
+            got = dict(families._pass(system, table, k, bits))[k][stream]
+            assert got == families._held(want, bits), (bits, table is edited)
+
+
+_ERRATUM = "the star and the path at one vertex share their n = 0 value"
+
+
+@pytest.mark.parametrize("kind, other, call, message", [
+    ("pendant_path", "two_pendants", "Q2",
+     "Q pendant-pair identity (ii): nonzero residual -x^4-3x^3+2x^2 at n=1"),
+    ("pendant_path", "two_pendants", "O2",
+     "O pendant-pair identity (ii): nonzero residual -x^4-3x^3+2x^2 at n=1"),
+    ("two_pendants", "pendant_path", "Qp",
+     "Q primed identity (iii), adopted -x form: nonzero residual x^4+3x^3-2x^2 at n=1"),
+], ids=["Q2 as a star", "O2 as a star", "Qp as a path"])
+def test_star_for_path_is_refused_by_the_identity_it_breaks(monkeypatch, kind, other, call,
+                                                              message):
+    # the paper's erratum: no initial value tells the star from the path, the identities do
+    assert STATED_BASES["Q2"][0] == STATED_BASES["Qp"][0], _ERRATUM
+    monkeypatch.setitem(families._GADGETS, kind, families._GADGETS[other])
+    assert (oracle.domination_polynomial(build_chain(call, 0))
+            == STATED_BASES[call][0]), _ERRATUM
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial(call, 2)
+    assert str(ei.value) == message
+
+
 @pytest.mark.parametrize("call", [
     lambda: family_polynomials("Q+e", 2, 9),
     lambda: list(families.family_values("Q2", 0, 9)),
