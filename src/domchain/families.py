@@ -20,9 +20,13 @@ the X(2) stream from n=1 on, while the pendant path satisfies all of them
 the evidence.
 
 Every recurrence identity of the three systems is declared once, as data, in
-IDENTITIES.  One bottom-up pass over a system's streams serves every
-polynomial view here and the closed-stream checks in verify.py; a
-literal-paper variant is an entry with adopted=False that carries its erratum.
+IDENTITIES; a literal-paper variant is an entry with adopted=False that carries
+its erratum.  The identities run in the certificate (_certify) and in verify.py.
+The packed and count passes behind every polynomial and count view here run
+none of them: by Cayley-Hamilton each stream obeys the scalar recurrence of the
+block matrix's characteristic polynomial (transfer.characteristic), so one
+bottom-up pass runs, per requested stream, that order <= 3 rule reading only
+the stream itself.  For T it is the paper's identity (det M = 0).
 
 The pass runs on packed integers (Kronecker substitution, as in Harvey,
 arXiv:0712.4046, but packed once per pass rather than once per product).
@@ -42,12 +46,13 @@ the count pass behind `sequence`, on the plain ints D(X_k, 1), each
 multiplier read at x = 1: it has no zero digits to strip, and carrying e
 there doubled its time.
 
-A packed pass runs only the rule table _certify proves and returns, so every
-value is a domination polynomial, with coefficients in [0, 2^order) as
-d(G,k) <= C(order,k): the pass checks no value, and B is its top order in
-whole bytes.  Its initial values are the transfer values u_s^T M^k v0, read
-from the block and gadgets.  Any other system is refused before a packed
-pass, naming the stream or identity that fails.
+A packed pass runs only a proven rule table, so every value is a domination
+polynomial, with coefficients in [0, 2^order) as d(G,k) <= C(order,k): the
+pass checks no value, and B is its top order in whole bytes.  _certify first
+proves the identities, so a system it refutes is refused before a packed pass,
+naming the stream or identity that fails; then the characteristic rules are
+proven by the same comparison with the transfer values u_s^T M^k v0 (which are
+also their initial values), so a wrong c_i is refused, never printed.
 """
 from __future__ import annotations
 
@@ -417,7 +422,7 @@ def _pass(family: str, rules: tuple, hi: int, bits: int | None):
     with no value checked: each value is D(X_k, x) as _held holds it at `bits`.
     Only the last k the identities look back to are kept.
     """
-    depth = max(e.depth for _, e, _ in rules)
+    depth = max((e.depth for _, e, _ in rules), default=0)
     window: dict[int, dict[str, object]] = {}
 
     def value(stream: str, k: int):
@@ -442,8 +447,8 @@ def _tables(system: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _certify(tables: tuple) -> tuple:
-    """Prove the system `tables` names for every n and return the rule table a pass
-    runs: (stream, its one adopted identity in `tables`, its initial values u_s^T M^k v0
+    """Prove the system `tables` names for every n and return its identity rule table:
+    (stream, its one adopted identity in `tables`, its initial values u_s^T M^k v0
     for k < start, read from the first graph n on), in evaluation order.
 
     Refuse first a table the pass cannot run: an adopted identity whose left side
@@ -482,9 +487,16 @@ def _certify(tables: tuple) -> tuple:
                 e.label, f"starts at n={e.start}, reading n={e.start - e.depth} below the "
                          f"first graph n={first}")
         pairs.append((s, e))
-    ws = transfer.states(block, max(e.start for _, e in pairs) + 2)
+    return _proven(system, block, gadgets, pairs)
+
+
+def _proven(system: str, block: tuple, gadgets: tuple, pairs: list) -> tuple:
+    """(stream, rule, its initial values u_s^T M^k v0 for k < start) for each (stream, rule)
+    in `pairs`, once the pass over them on polynomials to the largest start + 2 gives every
+    value u_s^T M^k v0; refuse the first that does not, naming its rule."""
+    ws = transfer.states(block, max((e.start for _, e in pairs), default=0) + 2)
     u = {s: transfer.finish(g) for s, g in gadgets}
-    want = {s: [transfer.dot(u[s], w) for w in ws] for s in streams}
+    want = {s: [transfer.dot(u[s], w) for w in ws] for s in u}
     rules = tuple((s, e, tuple(want[s][:e.start])) for s, e in pairs)
     for k, cur in _pass(system, rules, len(ws) - 1, None):
         for s, e, _ in rules:
@@ -494,12 +506,35 @@ def _certify(tables: tuple) -> tuple:
     return rules
 
 
+@lru_cache(maxsize=None)
+def _characteristic_rules(system: str, block: tuple, gadgets: tuple) -> tuple:
+    """The rule table a packed or count pass runs for the streams `gadgets` names: each
+    stream's own characteristic recurrence (transfer.characteristic), from the first graph
+    n + its order on, proven against the transfer values as _certify proves the identities."""
+    cs = transfer.characteristic(block)
+    start = _first_n(system) + len(cs)
+    return _proven(system, block, gadgets, [
+        (s, Identity(s, tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1)), start,
+                     f"{s} characteristic recurrence"))
+        for s, _ in gadgets])
+
+
+def _rules(system: str, streams: tuple[str, ...]) -> tuple:
+    """Prove the system's identities (_certify, so every refusal is its), then return the
+    proven characteristic rules of `streams`, in evaluation order."""
+    tables = _tables(system)
+    _certify(tables)
+    system, block, gadgets, _ = tables
+    return _characteristic_rules(system, block, tuple(g for g in gadgets if g[0] in streams))
+
+
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     """(k, {stream: polynomial}) for k = lo..hi, yielded bottom-up from the first graph n.
 
     Every listed stream of a closed system, as verify and q_stream/o_stream read
-    them; every refusal is raised by the call itself.  Its values are held packed
-    with one B for the pass, and only the listed streams at k >= lo are unpacked.
+    them; every refusal is raised by the call itself.  Only the listed streams are
+    evaluated, each by its characteristic rule, held packed with one B sized for
+    every stream of the system, and unpacked at k >= lo.
     """
     for s in streams:
         if s not in STREAMS.get(family, ()):
@@ -507,7 +542,7 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     if family not in STREAMS:
         raise ValueError(f"no system {family!r}; systems are {STREAMS}")
     top = _pass_top(family, lo, hi)
-    rules = _certify(_tables(family))  # refused before anything is packed
+    rules = _rules(family, streams)  # refused before anything is packed
     packing = _Packing(top)
     return ((k, {s: packing.unpack(*cur[s]) for s in streams})
             for k, cur in _pass(family, rules, hi, packing.bits) if k >= lo)
@@ -533,7 +568,7 @@ def family_polynomial(family: str, n: int) -> DomPoly:
 def family_counts(family: str, lo: int, hi: int) -> list[int]:
     """D(X_n, 1) for n = lo..hi: the count pass (B = 0) of the proven system."""
     check_n(family, lo, hi, recurrence=True)
-    passed = _pass(family[0], _certify(_tables(family[0])), hi, 0)
+    passed = _pass(family[0], _rules(family[0], (family,)), hi, 0)
     return [cur[family] for k, cur in passed if k >= lo]
 
 

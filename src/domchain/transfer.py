@@ -83,6 +83,26 @@ def dot(u: Vector, v: Vector) -> DomPoly:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def characteristic(block: Block) -> tuple[DomPoly, ...]:
+    """(c1, c2, c3) = (tr M, -e2(M), det M), trailing zero terms dropped.
+
+    By Cayley-Hamilton every u^T M^n v0 obeys a_n = c1 a_(n-1) + c2 a_(n-2) + c3 a_(n-3):
+    one scalar recurrence per stream.  T's M has a zero row, so det M = 0 and T's is order 2.
+    """
+    m = matrix(block)
+
+    def minor(i: int, j: int) -> DomPoly:
+        return m[i][i] * m[j][j] - m[i][j] * m[j][i]
+
+    cofactors = (minor(1, 2), m[1][2] * m[2][0] - m[1][0] * m[2][2],
+                 m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    cs = [m[0][0] + m[1][1] + m[2][2], -(minor(0, 1) + minor(0, 2) + minor(1, 2)),
+          dot(m[0], cofactors)]
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
 def states(block: Block, hi: int) -> list[Vector]:
     """M^n v0 for n = 0..hi."""
     m = matrix(block)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from domchain import families, oracle
+from domchain import families, oracle, transfer
 from domchain.families import (
     CHAIN_FAMILIES,
     FAMILY_NAMES,
@@ -235,25 +235,51 @@ def test_star_for_path_is_refused_by_the_identity_it_breaks(monkeypatch, kind, o
     assert str(ei.value) == message
 
 
-@pytest.mark.parametrize("call", [
-    lambda: family_polynomials("Q+e", 2, 9),
-    lambda: list(families.family_values("Q2", 0, 9)),
-    lambda: families.family_counts("O", 1, 9),
+@pytest.mark.parametrize("call, stream", [
+    (lambda: family_polynomials("Q+e", 2, 9), "Q+e"),
+    (lambda: list(families.family_values("Q2", 0, 9)), "Q2"),
+    (lambda: families.family_counts("O", 1, 9), "O"),
 ], ids=["family_polynomials", "family_values", "family_counts"])
-def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call):
-    # with the certificate recomputed, its own polynomial pass (bits None) runs too
+def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call, stream):
+    # with both caches cleared: the certificate's polynomial pass (bits None) over the
+    # identities, then the same proof of the stream's characteristic rule, then one packed
+    # or count pass on that proven rule and on no other stream
     def recorder(family, rules, hi, bits):
-        if bits is not None:
-            started.append((family, rules))
+        started.append((rules, bits))
         return real_pass(family, rules, hi, bits)
 
     started = []
     real_pass = families._pass
     monkeypatch.setattr(families, "_pass", recorder)
     families._certify.cache_clear()
+    families._characteristic_rules.cache_clear()
     call()
-    (family, rules), = started
-    assert rules is families._certify(families._tables(family))
+    (identities, bits0), (proof, bits1), (rules, bits) = started
+    assert identities is families._certify(families._tables(stream[0])) and bits0 is None
+    assert rules is proof is families._rules(stream[0], (stream,))
+    assert bits1 is None and bits is not None
+    (s, rule, _), = rules
+    cs = transfer.characteristic(families._BLOCKS[stream[0]])
+    assert s == stream and rule.terms == tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1))
+
+
+def test_residual_zero_at_two_points_is_refused_at_the_third(monkeypatch):
+    # (a, b, c) = (Q_2, Q_1, Q_0) x (Q_3, Q_2, Q_1) added to the Q identity adds a residual
+    # a Q_(n-1) + b Q_(n-2) + c Q_(n-3) that is zero at n = 3 and 4 and nonzero at 5, so only
+    # the third point of the three-point lemma refutes it.  T needs no such case: its M has a
+    # zero row, so det M = 0 and its residuals obey an order-2 recurrence; two points suffice.
+    q = [oracle.domination_polynomial(build_chain("Q", k)) for k in range(4)]
+    u, v = (q[2], q[1], q[0]), (q[3], q[2], q[1])
+    added = tuple(u[(i + 1) % 3] * v[(i + 2) % 3] - u[(i + 2) % 3] * v[(i + 1) % 3]
+                  for i in range(3))
+    assert [p.degree for p in added] == [7, 10, 8]
+    rule, = (e for e in IDENTITIES["Q"] if e.adopted and e.lhs == "Q")
+    _edit_q(monkeypatch, "Q", terms=(*rule.terms, *((a, (("Q", -i),)) for i, a in
+                                                     enumerate(added, 1))))
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("Q", 6)
+    assert str(ei.value) == ("Q-chain order-3 theorem recurrence: nonzero residual "
+                             "-x^13-4x^12-6x^11-4x^10-x^9 at n=5")
 
 
 def test_identity_is_checked_against_its_own_stream(monkeypatch):
@@ -298,3 +324,77 @@ def test_packed_exponent_is_gamma_of_every_stream_value(system):
             assert e == packing.unpack(w, e).gamma(), (s, k)
             seen += 1
     assert seen == len(STREAMS[system]) * (hi + 1 - families._first_n(system))
+
+
+# -- the characteristic rules the packed and count passes run --------------------------
+
+def test_t_characteristic_recurrence_is_the_adopted_t_identity():
+    # det M = 0 for T, so its characteristic recurrence is order 2: the paper's T identity
+    rule, = IDENTITIES["T"]
+    cs = transfer.characteristic(families._BLOCKS["T"])
+    assert cs == tuple(m for m, _ in rule.terms) and len(cs) == 2
+
+
+@pytest.mark.parametrize("system, cs", [
+    ("Q", ("x^3+3x^2+x", "2x^4+5x^3+4x^2", "x^3")),
+    ("O", ("x^3+3x^2+3x", "-x^3-3x^2", "x^5+2x^4+x^3")),
+])
+def test_q_and_o_characteristic_recurrences_are_order_three(system, cs):
+    # D(X_n) = c1 D(X_(n-1)) + c2 D(X_(n-2)) + c3 D(X_(n-3)) for every stream of the system
+    assert transfer.characteristic(families._BLOCKS[system]) == tuple(map(_p, cs))
+
+
+@pytest.mark.parametrize("system", CHAIN_FAMILIES)
+def test_characteristic_packed_exponent_is_gamma_of_every_stream_value(system):
+    # as for the identities: e stays gamma through every characteristic step
+    hi = 150
+    rules = families._rules(system, STREAMS[system])
+    packing = families._Packing(families.check_n(system, hi, recurrence=True))
+    seen = 0
+    for k, cur in families._pass(system, rules, hi, packing.bits):
+        for s, (w, e) in cur.items():
+            assert e == packing.unpack(w, e).gamma(), (s, k)
+            seen += 1
+    assert seen == len(STREAMS[system]) * (hi + 1 - families._first_n(system))
+
+
+@pytest.fixture
+def characteristic(monkeypatch):
+    """Replace transfer.characteristic by a table with `delta` added to its c_(index + 1)."""
+    real = transfer.characteristic
+
+    def edit(index: int, delta: str) -> None:
+        def edited(block):
+            cs = list(real(block))
+            cs[index] += _p(delta)
+            return tuple(cs)
+        monkeypatch.setattr(transfer, "characteristic", edited)
+        families._characteristic_rules.cache_clear()
+
+    yield edit
+    families._characteristic_rules.cache_clear()
+
+
+@pytest.mark.parametrize("stream, index, delta, message", [
+    ("T", 0, "x", "-x^6-5x^5-10x^4-8x^3-x^2"),
+    ("T", 1, "-1", "x^3+3x^2+3x"),
+    ("Q", 1, "x^5", "-x^9-4x^8-6x^7"),
+    ("Qp", 2, "x", "-x^4-3x^3-x^2"),
+    ("O", 2, "-x^3", "x^4"),
+    ("Op", 0, "1", "-x^10-10x^9-45x^8-113x^7-165x^6-132x^5-47x^4-6x^3"),
+])
+def test_edited_characteristic_is_refused_before_any_packed_pass(monkeypatch, characteristic,
+                                                                 stream, index, delta, message):
+    def no_packed_pass(family, rules, hi, bits):
+        if bits is not None:
+            raise AssertionError("a packed or count pass was started")
+        return real_pass(family, rules, hi, bits)
+
+    real_pass = families._pass
+    monkeypatch.setattr(families, "_pass", no_packed_pass)
+    characteristic(index, delta)
+    for call in (lambda: family_polynomial(stream, 8),
+                 lambda: families.family_counts(stream, families._first_n(stream, True), 8)):
+        with pytest.raises(RecurrenceConfigError) as ei:
+            call()
+        assert str(ei.value) == f"{stream} characteristic recurrence: nonzero residual {message} at n=3"
