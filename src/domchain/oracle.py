@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 DEFAULT_CAP = 24
 HARD_CAP = 30
 
-_LOW_BITS = 18  # low table size: 2^18 entries
+_LOW_BITS = 16  # low table size: 2^16 entries
 
 
 class EnumerationCapError(RuntimeError):
