@@ -22,6 +22,17 @@ in no candidate mask, no subset covers the target, and the scan returns zero
 counts before it builds any table.  Counts stay below 2^30, so int64 is
 exact.
 
+`_LOW_BITS` is 16, so that the arrays of one scan fit in a 2 MB L2 cache:
+the uint32 table (256 KB), the int64 popcount permutation (512 KB), the
+gathered copy and each group's `union | mask` (256 KB each) and the bool
+`hit` (64 KB) come to about 1.3 MB, against about 2.6 MB at 17 and 5 MB at
+18.  On a 2-CPU Xeon VM with 2 MB of L2 per core, the step from 17 to 16
+took a pass of the benchmark's `enumerate` workload from 63 to 46 ms and one
+of `verify` from 143 to 108 ms (at 18: 102 and 199 ms).  A narrower table
+leaves more candidates to the high half, so more groups and a longer
+pure-Python merge: sparse graphs at the hard cap favour a wider table, and
+P_30 scans in 1.7 ms at 18, 1.9 ms at 16 and 2.9 ms at 15.
+
 numpy is imported inside the two functions that use it, not at module level,
 so a process that never enumerates subsets (`sequence`, `compute --method
 recurrence`) never pays the numpy import, most of its start-up time.
@@ -42,7 +53,7 @@ if TYPE_CHECKING:
 DEFAULT_CAP = 24
 HARD_CAP = 30
 
-_LOW_BITS = 16  # low table size: 2^16 entries
+_LOW_BITS = 16  # low table size: 2^16 entries, about 1.3 MB of arrays per scan
 
 
 class EnumerationCapError(RuntimeError):

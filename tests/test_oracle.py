@@ -202,16 +202,35 @@ def _path_cycle_polys(start: list[DomPoly], top: int) -> list[DomPoly]:
 
 
 class TestRealSplit:
-    """Exact families just past the 18-candidate low table."""
+    """Exact families just past the low table's width, and at the hard cap."""
 
-    PATHS = _path_cycle_polys([DomPoly((0, 1)), DomPoly((0, 2, 1)), DomPoly((0, 1, 3, 1))], 22)
-    CYCLES = _path_cycle_polys([DomPoly((0, 1)), DomPoly((0, 2, 1)), DomPoly((0, 3, 3, 1))], 22)
+    PATHS = _path_cycle_polys([DomPoly((0, 1)), DomPoly((0, 2, 1)), DomPoly((0, 1, 3, 1))],
+                              oracle.HARD_CAP)
+    CYCLES = _path_cycle_polys([DomPoly((0, 1)), DomPoly((0, 2, 1)), DomPoly((0, 3, 3, 1))],
+                               oracle.HARD_CAP)
 
-    @pytest.mark.parametrize("n", range(19, 23))
+    # P_30 and C_30 put the most candidates in the high half that the hard cap allows
+    @pytest.mark.parametrize("n", [*range(oracle._LOW_BITS + 1, oracle._LOW_BITS + 5),
+                                   oracle.HARD_CAP])
     def test_paths_and_cycles(self, n):
         assert n > oracle._LOW_BITS
-        assert oracle.domination_polynomial(path_graph(n)) == self.PATHS[n]
-        assert oracle.domination_polynomial(cycle_graph(n)) == self.CYCLES[n]
+        assert oracle.domination_polynomial(path_graph(n), cap=n) == self.PATHS[n]
+        assert oracle.domination_polynomial(cycle_graph(n), cap=n) == self.CYCLES[n]
+
+    def test_low_table_is_at_most_low_bits_wide(self, monkeypatch):
+        # the per-size int32 sums are exact only while a table holds at most 2^_LOW_BITS
+        # subsets; the hard cap's scan asks for a table of exactly that width
+        widths = []
+        order = oracle._popcount_order
+
+        def recording(bits):
+            widths.append(bits)
+            return order(bits)
+
+        monkeypatch.setattr(oracle, "_popcount_order", recording)
+        for n in (17, oracle.HARD_CAP):
+            oracle.domination_table(cycle_graph(n), cap=n)
+        assert len(widths) == 2 and max(widths) == oracle._LOW_BITS
 
     def test_complete_graph(self):
         assert oracle.domination_polynomial(complete_graph(20)) == _binomial_poly(20)

@@ -263,15 +263,19 @@ def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call,
     assert s == stream and rule.terms == tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1))
 
 
+def _cross(u: tuple, v: tuple) -> tuple:
+    """The cross product u x v of two triples of polynomials."""
+    return tuple(u[(i + 1) % 3] * v[(i + 2) % 3] - u[(i + 2) % 3] * v[(i + 1) % 3]
+                 for i in range(3))
+
+
 def test_residual_zero_at_two_points_is_refused_at_the_third(monkeypatch):
     # (a, b, c) = (Q_2, Q_1, Q_0) x (Q_3, Q_2, Q_1) added to the Q identity adds a residual
     # a Q_(n-1) + b Q_(n-2) + c Q_(n-3) that is zero at n = 3 and 4 and nonzero at 5, so only
     # the third point of the three-point lemma refutes it.  T needs no such case: its M has a
     # zero row, so det M = 0 and its residuals obey an order-2 recurrence; two points suffice.
     q = [oracle.domination_polynomial(build_chain("Q", k)) for k in range(4)]
-    u, v = (q[2], q[1], q[0]), (q[3], q[2], q[1])
-    added = tuple(u[(i + 1) % 3] * v[(i + 2) % 3] - u[(i + 2) % 3] * v[(i + 1) % 3]
-                  for i in range(3))
+    added = _cross((q[2], q[1], q[0]), (q[3], q[2], q[1]))
     assert [p.degree for p in added] == [7, 10, 8]
     rule, = (e for e in IDENTITIES["Q"] if e.adopted and e.lhs == "Q")
     _edit_q(monkeypatch, "Q", terms=(*rule.terms, *((a, (("Q", -i),)) for i, a in
@@ -280,6 +284,25 @@ def test_residual_zero_at_two_points_is_refused_at_the_third(monkeypatch):
         family_polynomial("Q", 6)
     assert str(ei.value) == ("Q-chain order-3 theorem recurrence: nonzero residual "
                              "-x^13-4x^12-6x^11-4x^10-x^9 at n=5")
+
+
+def test_o_residual_zero_at_two_points_is_refused_at_the_third(monkeypatch):
+    # O's largest start is 2, so an added term may read at most two n back: O_(n-1) and
+    # O_(n-2) carry two multipliers and a third stream, O+e_(n-1), the third.  (a, b, c) is
+    # the cross product of those three reads at n = 2 and at n = 3, so the added residual is
+    # zero at the O identity's start and the next n, and nonzero only at the third point.
+    refs = (("O", -1), ("O", -2), ("O+e", -1))
+    u, v = (tuple(oracle.domination_polynomial(build_chain(s, n + off)) for s, off in refs)
+            for n in (2, 3))
+    added = _cross(u, v)
+    assert [p.degree for p in added] == [8, 8, 7]
+    monkeypatch.setitem(IDENTITIES, "O", tuple(
+        replace(e, terms=(*e.terms, *((a, (ref,)) for a, ref in zip(added, refs))))
+        if e.adopted and e.lhs == "O" else e for e in IDENTITIES["O"]))
+    with pytest.raises(RecurrenceConfigError) as ei:
+        family_polynomial("O", 6)
+    assert str(ei.value) == ("O-chain theorem recurrence: nonzero residual "
+                             "-x^13-10x^12-40x^11-78x^10-71x^9-24x^8 at n=4")
 
 
 def test_identity_is_checked_against_its_own_stream(monkeypatch):
