@@ -21,43 +21,46 @@ the evidence.
 
 Every recurrence identity of the three systems is declared once, as data, in
 IDENTITIES; a literal-paper variant is an entry with adopted=False that carries
-its erratum.  The identities run in the certificate (_certify) and in verify.py.
-The packed and count passes behind every polynomial and count view here run
-none of them: by Cayley-Hamilton each stream obeys the scalar recurrence of the
-block matrix's characteristic polynomial (transfer.characteristic), so one
-bottom-up pass runs, per requested stream, that order <= 3 rule reading only
-the stream itself.  For T it is the paper's identity (det M = 0).
+its erratum.  The identities run only in the certificate (_certify, whose
+polynomial pass _pass stops at the largest start + 2, n = 5 here) and in
+verify.py.  The packed and count
+passes behind every polynomial and count view here run none of them: by
+Cayley-Hamilton each stream obeys the scalar recurrence of the block matrix's
+characteristic polynomial (transfer.characteristic), so each requested stream
+is one walk (_walk) of that order d <= 3 rule, a_k = c_1 a_(k-1) + ... +
+c_d a_(k-d), reading only the stream itself and keeping only its last d values.
+For T it is the paper's identity (det M = 0).
 
-The pass runs on packed integers (Kronecker substitution, as in Harvey,
-arXiv:0712.4046, but packed once per pass rather than once per product).
-Every coefficient of D(X_k, x) below x^gamma(X_k) is zero, so each stream
-value is held as a pair (w, e) with D(X_k, 2^B) = w << e*B and e <= gamma:
-the zero digits below x^e are never stored, shifted or added.  An initial value
-is held with e its own gamma.  Evaluation at 2^B is a ring homomorphism, so
-Identity.rhs applies a multiplier power by power of x, never as one big
-product: a group of refs is their sum at the least e among them (each other
-ref shifted up to it), a term's coefficient a at x^i lands at the effective
-power i + e_group, and the small-integer combinations per effective power are
-joined by Horner steps from the top power down, each gap in one shift.  The
-result's e is the lowest effective power, and no shift follows it.  e <= gamma
-holds through any identity: no term a x^i G has a power below i + e_group,
-so neither has their sum, and cancellation can only raise gamma.  B = 0 is
-the count pass behind `sequence`, on the plain ints D(X_k, 1), each
-multiplier read at x = 1: it has no zero digits to strip, and carrying e
-there doubled its time.
+A walk at B > 0 runs on packed integers (Kronecker substitution, as in Harvey,
+arXiv:0712.4046, but packed once per walk rather than once per product).
+Every coefficient of D(X_k, x) below x^gamma(X_k) is zero, so each value is
+held as a pair (w, e) with D(X_k, 2^B) = w << e*B and e <= gamma: the zero
+digits below x^e are never stored, shifted or added.  An initial value is held
+with e its own gamma.  Evaluation at 2^B is a ring homomorphism, so a step
+applies each c_i power by power of x, never as one big product: c_i's
+coefficient a at x^j lands at the effective power j + e_(k-i), and the
+small-integer combinations per effective power are joined by Horner steps from
+the top power down, each gap in one shift.  The new value's e is the lowest
+effective power, and no shift follows it.  e <= gamma holds at every step: no
+term a x^j a_(k-i) has a power below j + e_(k-i), so neither has their sum, and
+cancellation can only raise gamma.  B = 0 is the count walk behind `sequence`,
+on the plain ints D(X_k, 1), each c_i read at x = 1: it has no zero digits to
+strip, and carrying e there doubled its time.
 
-A packed pass runs only a proven rule table, so every value is a domination
-polynomial, with coefficients in [0, 2^order) as d(G,k) <= C(order,k): the
-pass checks no value, and B is its top order in whole bytes.  _certify first
-proves the identities, so a system it refutes is refused before a packed pass,
-naming the stream or identity that fails; then the characteristic rules are
-proven by the same comparison with the transfer values u_s^T M^k v0 (which are
-also their initial values), so a wrong c_i is refused, never printed.
+A walk runs only a proven rule, so every value is a domination polynomial,
+with coefficients in [0, 2^order) as d(G,k) <= C(order,k): the walk checks no
+value, and B is the system's top order in whole bytes.  _certify first proves
+the identities, so a system it refutes is refused before any walk, naming the
+stream or identity that fails; then the characteristic rules are proven by the
+same comparison with the transfer values u_s^T M^k v0 (which are also their
+initial values), so a wrong c_i is refused, never printed.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, reduce
+from itertools import islice
 from operator import add
 from typing import Callable
 
@@ -99,10 +102,10 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
 
 
 class RecurrenceConfigError(RuntimeError):
-    """A closed system _certify refuses: a table the pass cannot run (such as a stream
+    """A closed system _certify refuses: a table its pass cannot run (such as a stream
     with two or more adopted identities, an adopted identity with no terms, with a term
     that reads no stream or with a left side that is no stream of the system), or the
-    first pass value that is not its transfer value, naming the stream or identity."""
+    first value of that pass that is not its transfer value, naming the stream or identity."""
 
     def __init__(self, identity: str, detail: str):
         super().__init__(f"{identity}: {detail}")
@@ -130,8 +133,8 @@ def _check_first(family: str, n: int, recurrence: bool = False) -> None:
 
 def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
     """Refuse, for each n in turn, an n below the first graph n (or `recurrence` n),
-    then an oversized member or, with `recurrence`, an oversized value of any stream
-    its system's pass packs; return the largest vertex count checked."""
+    then an oversized member or, with `recurrence`, an oversized member of any stream
+    of its system (_pass_top); return the largest vertex count checked."""
     top = 0
     for n in ns:
         _check_first(family, n, recurrence)
@@ -144,7 +147,9 @@ def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
 
 
 def _pass_top(system: str, *ns: int) -> int:
-    """check_n for every stream the system's pass packs, at each n; the largest order."""
+    """check_n for every stream of the system, at each n; the largest order.  B and the
+    vertex limit are sized for the system's largest stream, so every reader of a system
+    refuses at the same n."""
     return max(check_n(s, *ns) for s in STREAMS[system])
 
 
@@ -236,55 +241,15 @@ class Identity:
     subject: str | None = None     # attachment of the left-hand graph, if not the adopted one
     erratum: Erratum | None = None  # where the published statement differs
 
-    def rhs(self, n: int, value: Callable[[str, int], object], shift: int | None = None):
-        """Right-hand side at n, with value(stream, k) supplying each referenced term.
-
-        With shift 0 every term is the int D(X, 1), and so is the result.  With a
-        positive `shift` every term is a pair (w, e) with D(X, 2^shift) = w << e*shift,
-        and so is the result (see the module docstring).
-        """
-        if shift is None:
-            groups = [reduce(add, (value(s, n + off) for s, off in refs)) for _, refs in self.terms]
-            return reduce(add, (mult * g for (mult, _), g in zip(self.terms, groups)))
-        if not shift:
-            acc = 0
-            for at_one, _, refs in self._by_term:
-                g = reduce(add, (value(s, n + off) for s, off in refs))
-                acc += g if at_one == 1 else at_one * g
-            return acc
-        at: dict[int, list[tuple[int, int]]] = {}  # effective power -> (coefficient, group)
-        for _, powers, refs in self._by_term:
-            held = [value(s, n + off) for s, off in refs]
-            e = min(f for _, f in held)
-            g = reduce(add, (w if f == e else w << (f - e) * shift for w, f in held))
-            for i, a in powers:
-                at.setdefault(i + e, []).append((a, g))
-        acc = last = None
-        for p in sorted(at, reverse=True):  # Horner over the effective powers, gaps in one shift
-            if acc is not None:
-                acc <<= (last - p) * shift
-            for a, g in at[p]:
-                if acc is None:  # the first term, not copied into a zero accumulator
-                    acc = g if a == 1 else a * g
-                elif a == 1:
-                    acc += g
-                elif a == -1:
-                    acc -= g
-                else:
-                    acc += a * g
-            last = p
-        return acc, last
+    def rhs(self, n: int, value: Callable[[str, int], DomPoly]) -> DomPoly:
+        """Right-hand side at n, with value(stream, k) supplying each referenced term."""
+        return reduce(add, (mult * reduce(add, (value(s, n + off) for s, off in refs))
+                            for mult, refs in self.terms))
 
     @cached_property
     def depth(self) -> int:
         """How many n back the right-hand side reads."""
         return max(-off for _, refs in self.terms for _, off in refs)
-
-    @cached_property
-    def _by_term(self) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[Ref, ...]], ...]:
-        """Per term: its multiplier at x = 1, its nonzero (power, coefficient) pairs, its refs."""
-        return tuple((mult.eval_at(1), tuple((i, a) for i, a in enumerate(mult.coeffs) if a), refs)
-                     for mult, refs in self.terms)
 
 
 _p = DomPoly.from_text
@@ -391,7 +356,7 @@ T0_COUNT_SEED = 2  # formal seed of the count sequence; T_0 is not a graph here
 # -- stream evaluation ------------------------------------------------------------
 
 class _Packing:
-    """Polynomials packed at x = 2^bits, for a certified pass up to `top` vertices."""
+    """Polynomials packed at x = 2^bits, for a walk of a proven rule up to `top` vertices."""
 
     def __init__(self, top: int):
         # certified coefficients lie in [0, 2^order) with order <= top
@@ -406,37 +371,61 @@ class _Packing:
                                   for i in range(0, len(raw), width)])
 
 
-def _held(p: DomPoly, bits: int | None):
-    """p as a pass at `bits` holds it: itself (None), the int D(p, 1) (0), or the pair
-    (w, e) with e = gamma(p) and D(p, 2^bits) = w << e*bits."""
-    if bits is None:
-        return p
+def _held(p: DomPoly, bits: int):
+    """p as a walk at `bits` holds it: the int D(p, 1) (0), or the pair (w, e) with
+    e = gamma(p) and D(p, 2^bits) = w << e*bits."""
     if not bits:
         return p.eval_at(1)
     e = p.gamma() or 0
     return DomPoly(p.coeffs[e:]).eval_at(1 << bits), e
 
 
-def _pass(family: str, rules: tuple, hi: int, bits: int | None):
-    """Yield (k, {stream: value}) for every stream of `rules`, k = first graph n..hi,
-    with no value checked: each value is D(X_k, x) as _held holds it at `bits`.
-    Only the last k the identities look back to are kept.
-    """
-    depth = max((e.depth for _, e, _ in rules), default=0)
-    window: dict[int, dict[str, object]] = {}
-
-    def value(stream: str, k: int):
-        return window[k][stream]
-
+def _pass(family: str, rules: tuple, hi: int):
+    """Yield (k, {stream: D(X_k, x)}) for every stream of `rules`, k = first graph n..hi,
+    with no value checked: the certificate's polynomial pass."""
+    vals: dict[tuple[str, int], DomPoly] = {}
     for k in range(_first_n(family), hi + 1):
-        window.pop(k - depth - 1, None)
-        window[k] = cur = {}
         for s, rule, initial in rules:
-            if k >= rule.start:
-                cur[s] = rule.rhs(k, value, bits)
-            else:
-                cur[s] = _held(initial[k], bits)
-        yield k, cur
+            vals[s, k] = rule.rhs(k, lambda t, j: vals[t, j]) if k >= rule.start else initial[k]
+        yield k, {s: vals[s, k] for s, _, _ in rules}
+
+
+def _walk(cs: tuple[DomPoly, ...], initial: tuple[DomPoly, ...], hi: int, bits: int):
+    """Yield a_k for k = 0..hi as _held holds it at `bits`, with no value checked: initial[k]
+    below len(initial), then a_k = c_1 a_(k-1) + ... + c_d a_(k-d), d = len(cs).  Only the
+    last d values are kept (see the module docstring)."""
+    last: deque = deque(maxlen=len(cs))
+    at_one = [c.eval_at(1) for c in cs]
+    powers = [[(j, a) for j, a in enumerate(c.coeffs) if a] for c in cs]
+    for k in range(hi + 1):
+        if k < len(initial):
+            v = _held(initial[k], bits)
+        elif not bits:
+            v = 0
+            for c, a in zip(at_one, reversed(last)):
+                v += a if c == 1 else c * a
+        else:
+            at: dict[int, list[tuple[int, int]]] = {}  # effective power -> (coefficient, w)
+            for terms, (w, e) in zip(powers, reversed(last)):
+                for j, a in terms:
+                    at.setdefault(j + e, []).append((a, w))
+            acc = low = None
+            for p in sorted(at, reverse=True):  # Horner from the top power, each gap one shift
+                if acc is not None:
+                    acc <<= (low - p) * bits
+                for a, w in at[p]:
+                    if acc is None:  # the first term, not copied into a zero accumulator
+                        acc = w if a == 1 else a * w
+                    elif a == 1:
+                        acc += w
+                    elif a == -1:
+                        acc -= w
+                    else:
+                        acc += a * w
+                low = p
+            v = acc, low
+        last.append(v)
+        yield v
 
 
 def _tables(system: str) -> tuple:
@@ -498,7 +487,7 @@ def _proven(system: str, block: tuple, gadgets: tuple, pairs: list) -> tuple:
     u = {s: transfer.finish(g) for s, g in gadgets}
     want = {s: [transfer.dot(u[s], w) for w in ws] for s in u}
     rules = tuple((s, e, tuple(want[s][:e.start])) for s, e in pairs)
-    for k, cur in _pass(system, rules, len(ws) - 1, None):
+    for k, cur in _pass(system, rules, len(ws) - 1):
         for s, e, _ in rules:
             if cur[s] != want[s][k]:
                 raise RecurrenceConfigError(
@@ -508,7 +497,7 @@ def _proven(system: str, block: tuple, gadgets: tuple, pairs: list) -> tuple:
 
 @lru_cache(maxsize=None)
 def _characteristic_rules(system: str, block: tuple, gadgets: tuple) -> tuple:
-    """The rule table a packed or count pass runs for the streams `gadgets` names: each
+    """The rule table the walks run for the streams `gadgets` names: each
     stream's own characteristic recurrence (transfer.characteristic), from the first graph
     n + its order on, proven against the transfer values as _certify proves the identities."""
     cs = transfer.characteristic(block)
@@ -529,12 +518,12 @@ def _rules(system: str, streams: tuple[str, ...]) -> tuple:
 
 
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
-    """(k, {stream: polynomial}) for k = lo..hi, yielded bottom-up from the first graph n.
+    """(k, {stream: polynomial}) for k = lo..hi, yielded bottom-up.
 
     Every listed stream of a closed system, as verify and q_stream/o_stream read
-    them; every refusal is raised by the call itself.  Only the listed streams are
-    evaluated, each by its characteristic rule, held packed with one B sized for
-    every stream of the system, and unpacked at k >= lo.
+    them; every refusal is raised by the call itself.  Each listed stream is one
+    walk of its characteristic rule, packed with one B sized for every stream of
+    the system, and unpacked at k >= lo.
     """
     for s in streams:
         if s not in STREAMS.get(family, ()):
@@ -544,19 +533,23 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     top = _pass_top(family, lo, hi)
     rules = _rules(family, streams)  # refused before anything is packed
     packing = _Packing(top)
-    return ((k, {s: packing.unpack(*cur[s]) for s in streams})
-            for k, cur in _pass(family, rules, hi, packing.bits) if k >= lo)
+    walks = dict.fromkeys(streams)  # in the order asked for
+    for s, rule, initial in rules:
+        cs = tuple(c for c, _ in rule.terms)
+        walks[s] = islice(_walk(cs, initial, hi, packing.bits), lo, None)
+    return ((k, {s: packing.unpack(*next(w)) for s, w in walks.items()})
+            for k in range(lo, hi + 1))
 
 
 def family_values(family: str, lo: int, hi: int):
-    """(n, family_polynomial(family, n)) for n = lo..hi, yielded from one pass up to hi;
+    """(n, family_polynomial(family, n)) for n = lo..hi, yielded from one walk up to hi;
     every refusal is raised by this call."""
     check_n(family, lo, hi, recurrence=True)
     return ((n, v[family]) for n, v in stream_values(family[0], lo, hi, (family,)))
 
 
 def family_polynomials(family: str, lo: int, hi: int) -> list[DomPoly]:
-    """family_polynomial for n = lo..hi, all from one pass of the streams up to hi."""
+    """family_polynomial for n = lo..hi, all from one walk up to hi."""
     return [p for _, p in family_values(family, lo, hi)]
 
 
@@ -566,10 +559,10 @@ def family_polynomial(family: str, n: int) -> DomPoly:
 
 
 def family_counts(family: str, lo: int, hi: int) -> list[int]:
-    """D(X_n, 1) for n = lo..hi: the count pass (B = 0) of the proven system."""
+    """D(X_n, 1) for n = lo..hi: the count walk (B = 0) of the proven rule."""
     check_n(family, lo, hi, recurrence=True)
-    passed = _pass(family[0], _rules(family[0], (family,)), hi, 0)
-    return [cur[family] for k, cur in passed if k >= lo]
+    (_, rule, initial), = _rules(family[0], (family,))
+    return list(islice(_walk(tuple(c for c, _ in rule.terms), initial, hi, 0), lo, None))
 
 
 def count_sequence(family: str, max_n: int) -> tuple[int, list[int]]:
@@ -592,7 +585,7 @@ def t_coefficient_table(n: int) -> list[int]:
 
 
 def t_count_sequence(n_max: int) -> list[int]:
-    """t_0..t_{n_max}: the formal seed T0_COUNT_SEED, then D(T_n, 1) from the count pass."""
+    """t_0..t_{n_max}: the formal seed T0_COUNT_SEED, then D(T_n, 1) from the count walk."""
     if n_max < 0:
         raise ValueError(f"n_max >= 0 required, got {n_max}")
     return [T0_COUNT_SEED, *family_counts("T", 1, max(n_max, 1))][: n_max + 1]

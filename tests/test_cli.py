@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import domchain
-from domchain import cli, decompose, families
+from domchain import cli, decompose, families, transfer
 from domchain.families import FAMILY_NAMES, t_polynomial
 from domchain.graph import complete_graph, format_edge_list, path_graph
 from domchain.poly import DomPoly
@@ -365,17 +365,17 @@ class TestBench:
         assert [r[-1] for r in csv.reader(io.StringIO(out))][1:] == ["ok"] * (4 - lo)
 
     def test_rows_come_from_one_packed_pass(self, capsys, monkeypatch):
-        # the certificate's own polynomial pass (bits None) is not counted
-        def recorder(family, rules, hi, bits):
-            if bits is not None:
-                started.append((family, hi))
-            return real_pass(family, rules, hi, bits)
+        # one packed walk, of Q's characteristic rule up to n = 5; the certificate's own
+        # polynomial pass is no walk
+        def recorder(cs, initial, hi, bits):
+            started.append((cs, hi, bits > 0))
+            return real_walk(cs, initial, hi, bits)
 
         started = []
-        real_pass = families._pass
-        monkeypatch.setattr(families, "_pass", recorder)
+        real_walk = families._walk
+        monkeypatch.setattr(families, "_walk", recorder)
         code, out, _ = run(capsys, "bench", "--family", "Q", "--n-range", "1:5")
-        assert (code, started) == (0, [("Q", 5)])
+        assert (code, started) == (0, [(transfer.characteristic(families._BLOCKS["Q"]), 5, True)])
         # each row's recurrence time is the pass's time to reach its n
         seconds = [float(r[5]) for r in list(csv.reader(io.StringIO(out)))[1:]]
         assert len(seconds) == 5 and seconds == sorted(seconds)
@@ -467,12 +467,14 @@ class TestInputBounds:
         assert (code, out, err) == (1, "", f"domchain: error: {message}\n")
 
     def test_bench_refuses_pass_wide_limit_before_timing(self, capsys, monkeypatch):
-        # Q_3332 fits, but the pass to n = 3333 packs Q+e_3333: refused before any row
+        # Q_3333 fits, but Q+e_3333 does not: B and the vertex limit are sized for the
+        # system's largest stream, so every reader of Q refuses at n = 3333, before any row
         def no_pass(*args, **kwargs):
             raise AssertionError("a recurrence was run")
 
         monkeypatch.setattr(families, "family_polynomial", no_pass)
         monkeypatch.setattr(families, "_pass", no_pass)
+        monkeypatch.setattr(families, "_walk", no_pass)
         code, out, err = run(capsys, "bench", "--family", "Q", "--n-range", "3332:3333")
         assert (code, out, err) == (
             1, "", "domchain: error: family Q+e at n=3333 has 10001 vertices, limit is 10000\n")

@@ -174,8 +174,9 @@ class TestConstructors:
          "family Q+e at n=3333 has 10001 vertices"),
     ], ids=["o_stream", "family_polynomial", "stream_values"])
     def test_stream_pass_is_refused_by_every_stream_it_packs(self, monkeypatch, call, message):
-        # O_3333 and Q_3333 have 10000 vertices, but the pass also packs their
-        # gadget streams, up to 3 vertices larger
+        # O_3333 and Q_3333 have 10000 vertices, but their gadget streams are up to 3
+        # vertices larger: B and the vertex limit are sized for the system's largest
+        # stream, so every reader of a system refuses at the same n
         def no_work(*args, **kwargs):
             raise AssertionError("a graph or a stream pass was started")
 

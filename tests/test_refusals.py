@@ -19,17 +19,18 @@ _FILES = {
     "header": "10001 0\n",
 }
 
-# name -> (owner, attribute) of work a refusal must come before
+# name -> the (owner, attribute) pairs of work a refusal must come before; "pass" is
+# both the certificate's polynomial pass and the packed or count walk
 _WORK = {
-    "build_chain": (families, "build_chain"),
-    "family_polynomial": (families, "family_polynomial"),
-    "pass": (families, "_pass"),
-    "packing": (families, "_Packing"),
-    "from_edges": (Graph, "from_edges"),
-    "scan": (oracle, "_scan"),
-    "recurse": (Graph, "contract_vertex"),
-    "compute": (cli, "_compute_one"),
-    "parse": (cli, "parse_edge_list"),
+    "build_chain": ((families, "build_chain"),),
+    "family_polynomial": ((families, "family_polynomial"),),
+    "pass": ((families, "_pass"), (families, "_walk")),
+    "packing": ((families, "_Packing"),),
+    "from_edges": ((Graph, "from_edges"),),
+    "scan": ((oracle, "_scan"),),
+    "recurse": ((Graph, "contract_vertex"),),
+    "compute": ((cli, "_compute_one"),),
+    "parse": ((cli, "parse_edge_list"),),
 }
 
 
@@ -123,7 +124,8 @@ def _no_work(*args, **kwargs):
                          ids=[row[0] for row in ROWS])
 def test_refusal(capsys, monkeypatch, paths, argv, work, code, err):
     for name in work:
-        monkeypatch.setattr(*_WORK[name], _no_work)
+        for owner, attribute in _WORK[name]:
+            monkeypatch.setattr(owner, attribute, _no_work)
     monkeypatch.setattr(sys, "getrecursionlimit", lambda: 1000)  # the documented depth bound
     if code == 2:  # the unproven system's row: Op identity (iii) with -2x for -x
         with_multiplier(monkeypatch, "O", "Op", "-x", "-2x")
@@ -146,7 +148,8 @@ def _usage(command: str) -> str:
 def test_mutually_exclusive_sizes(capsys, monkeypatch, paths, argv, message):
     # argparse refuses these itself, with its usage line, before any command runs
     for name in ("build_chain", "parse", "compute"):
-        monkeypatch.setattr(*_WORK[name], _no_work)
+        for owner, attribute in _WORK[name]:
+            monkeypatch.setattr(owner, attribute, _no_work)
     with pytest.raises(SystemExit) as ei:
         cli.main([a.format(**paths) for a in argv])
     out = capsys.readouterr()

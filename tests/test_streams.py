@@ -3,7 +3,7 @@
 The reference here evaluates every adopted Identity.rhs on DomPoly values over
 the paper's stated initial values in a plain loop, independent of how families
 evaluates the streams.  The failure tests pin the exact RecurrenceConfigError
-messages: an edited table is refused by its certificate before any packed pass,
+messages: an edited table is refused by its certificate before any packed or count walk,
 naming the stream or identity that fails.
 """
 from dataclasses import replace
@@ -130,18 +130,16 @@ def test_gadget_that_is_not_the_graph_fails_the_certificate(monkeypatch, edges, 
     lambda: next(families.stream_values("O", 0, 5, ("Op",))),
 ], ids=["family_polynomial", "family_counts", "stream_values"])
 def test_unproven_system_is_refused_before_any_pass(monkeypatch, call):
-    # the certificate's own polynomial pass (bits None) may run; a packed or count pass may not
-    def no_packed_pass(family, rules, hi, bits):
-        if bits is not None:
-            raise AssertionError("a packed or count pass was started")
-        return real_pass(family, rules, hi, bits)
-
-    real_pass = families._pass
-    monkeypatch.setattr(families, "_pass", no_packed_pass)
+    # the certificate's own polynomial pass may run; a packed or count walk may not
+    monkeypatch.setattr(families, "_walk", _no_walk)
     with_multiplier(monkeypatch, "O", "Op", "-x", "-2x")
     with pytest.raises(RecurrenceConfigError) as ei:
         call()
     assert str(ei.value) == f"{_OP_III} x^4+3x^3+x^2 at n=1"
+
+
+def _no_walk(*args):
+    raise AssertionError("a packed or count pass was started")
 
 
 def _edit_q(monkeypatch, lhs: str, **changes) -> None:
@@ -197,19 +195,29 @@ def test_certificate_returns_each_stream_with_its_adopted_identity(system):
 @pytest.mark.parametrize("stream, k", [(s, k) for s, bases in STATED_BASES.items()
                                        for k in bases])
 def test_pass_takes_each_initial_value_from_its_rule(stream, k):
-    # below its start a stream's value is its rule's initial value, as _held holds it
-    # on polynomials, as a count and packed; an edited one is yielded in its place
+    # below its start a stream's value is its rule's initial value: in the certificate's
+    # polynomial pass over the identities, and in the walk of its characteristic rule as
+    # _held holds it, as a count and packed; an edited one is yielded in its place
     system = stream[0]
+    stated = STATED_BASES[stream][k]
+    edited = stated + DomPoly.monomial(1, 1)
+
+    def edit(initial: tuple) -> tuple:
+        return tuple(edited if j == k else v for j, v in enumerate(initial))
+
     rules = families._certify(families._tables(system))
-    edited = tuple((s, e, tuple(v + DomPoly.monomial(1, 1) if s == stream and j == k else v
-                                for j, v in enumerate(initial)))
-                   for s, e, initial in rules)
+    edited_rules = tuple((s, e, edit(initial) if s == stream else initial)
+                         for s, e, initial in rules)
+    for table, want in ((rules, stated), (edited_rules, edited)):
+        assert dict(families._pass(system, table, k))[k][stream] == want, table is edited_rules
+    (_, rule, initial), = families._rules(system, (stream,))
+    assert k < rule.start
+    cs = tuple(c for c, _ in rule.terms)
     packing = families._Packing(families.check_n(system, k + 2, recurrence=True))
-    for bits in (None, 0, packing.bits):
-        for table, want in ((rules, STATED_BASES[stream][k]),
-                            (edited, STATED_BASES[stream][k] + DomPoly.monomial(1, 1))):
-            got = dict(families._pass(system, table, k, bits))[k][stream]
-            assert got == families._held(want, bits), (bits, table is edited)
+    for bits in (0, packing.bits):
+        for table, want in ((initial, stated), (edit(initial), edited)):
+            got = list(families._walk(cs, table, k, bits))[k]
+            assert got == families._held(want, bits), (bits, want is edited)
 
 
 _ERRATUM = "the star and the path at one vertex share their n = 0 value"
@@ -235,32 +243,38 @@ def test_star_for_path_is_refused_by_the_identity_it_breaks(monkeypatch, kind, o
     assert str(ei.value) == message
 
 
-@pytest.mark.parametrize("call, stream", [
-    (lambda: family_polynomials("Q+e", 2, 9), "Q+e"),
-    (lambda: list(families.family_values("Q2", 0, 9)), "Q2"),
-    (lambda: families.family_counts("O", 1, 9), "O"),
+@pytest.mark.parametrize("call, stream, packed", [
+    (lambda: family_polynomials("Q+e", 2, 9), "Q+e", True),
+    (lambda: list(families.family_values("Q2", 0, 9)), "Q2", True),
+    (lambda: families.family_counts("O", 1, 9), "O", False),
 ], ids=["family_polynomials", "family_values", "family_counts"])
-def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call, stream):
-    # with both caches cleared: the certificate's polynomial pass (bits None) over the
-    # identities, then the same proof of the stream's characteristic rule, then one packed
-    # or count pass on that proven rule and on no other stream
-    def recorder(family, rules, hi, bits):
-        started.append((rules, bits))
-        return real_pass(family, rules, hi, bits)
+def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call, stream, packed):
+    # with both caches cleared: the certificate's polynomial pass over the identities, then
+    # the same proof of the stream's characteristic rule, then one packed (B > 0) or count
+    # (B = 0) walk of that proven rule and of no other stream
+    def record_pass(family, rules, hi):
+        started.append(("pass", rules))
+        return real_pass(family, rules, hi)
+
+    def record_walk(cs, initial, hi, bits):
+        started.append(("walk", (cs, initial, bits)))
+        return real_walk(cs, initial, hi, bits)
 
     started = []
-    real_pass = families._pass
-    monkeypatch.setattr(families, "_pass", recorder)
+    real_pass, real_walk = families._pass, families._walk
+    monkeypatch.setattr(families, "_pass", record_pass)
+    monkeypatch.setattr(families, "_walk", record_walk)
     families._certify.cache_clear()
     families._characteristic_rules.cache_clear()
     call()
-    (identities, bits0), (proof, bits1), (rules, bits) = started
-    assert identities is families._certify(families._tables(stream[0])) and bits0 is None
-    assert rules is proof is families._rules(stream[0], (stream,))
-    assert bits1 is None and bits is not None
-    (s, rule, _), = rules
+    assert [what for what, _ in started] == ["pass", "pass", "walk"]
+    (_, identities), (_, proof), (_, (walked, initial, bits)) = started
+    assert identities is families._certify(families._tables(stream[0]))
+    assert proof is families._rules(stream[0], (stream,))
+    (s, rule, proven), = proof
     cs = transfer.characteristic(families._BLOCKS[stream[0]])
     assert s == stream and rule.terms == tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1))
+    assert walked == cs and initial is proven and (bits > 0) is packed and bits >= 0
 
 
 def _cross(u: tuple, v: tuple) -> tuple:
@@ -334,21 +348,6 @@ def test_packing_round_trips_below_a_power_of_x(top, e):
     assert packing.unpack(w, gamma) == p
 
 
-@pytest.mark.parametrize("system", CHAIN_FAMILIES)
-def test_packed_exponent_is_gamma_of_every_stream_value(system):
-    # the pass holds D(X_k, 2^B) as w << e*B with e carried as a lower bound of gamma;
-    # a looser bound would move zero digits below x^gamma through every step again
-    hi = 150
-    rules = families._certify(families._tables(system))
-    packing = families._Packing(families.check_n(system, hi, recurrence=True))
-    seen = 0
-    for k, cur in families._pass(system, rules, hi, packing.bits):
-        for s, (w, e) in cur.items():
-            assert e == packing.unpack(w, e).gamma(), (s, k)
-            seen += 1
-    assert seen == len(STREAMS[system]) * (hi + 1 - families._first_n(system))
-
-
 # -- the characteristic rules the packed and count passes run --------------------------
 
 def test_t_characteristic_recurrence_is_the_adopted_t_identity():
@@ -369,16 +368,19 @@ def test_q_and_o_characteristic_recurrences_are_order_three(system, cs):
 
 @pytest.mark.parametrize("system", CHAIN_FAMILIES)
 def test_characteristic_packed_exponent_is_gamma_of_every_stream_value(system):
-    # as for the identities: e stays gamma through every characteristic step
+    # the walk holds D(X_k, 2^B) as w << e*B with e carried as a lower bound of gamma;
+    # a looser bound would move zero digits below x^gamma through every step again
     hi = 150
-    rules = families._rules(system, STREAMS[system])
+    first = families._first_n(system)
     packing = families._Packing(families.check_n(system, hi, recurrence=True))
     seen = 0
-    for k, cur in families._pass(system, rules, hi, packing.bits):
-        for s, (w, e) in cur.items():
-            assert e == packing.unpack(w, e).gamma(), (s, k)
-            seen += 1
-    assert seen == len(STREAMS[system]) * (hi + 1 - families._first_n(system))
+    for s, rule, initial in families._rules(system, STREAMS[system]):
+        walk = families._walk(tuple(c for c, _ in rule.terms), initial, hi, packing.bits)
+        for k, (w, e) in enumerate(walk):
+            if k >= first:
+                assert e == packing.unpack(w, e).gamma(), (s, k)
+                seen += 1
+    assert seen == len(STREAMS[system]) * (hi + 1 - first)
 
 
 @pytest.fixture
@@ -408,13 +410,7 @@ def characteristic(monkeypatch):
 ])
 def test_edited_characteristic_is_refused_before_any_packed_pass(monkeypatch, characteristic,
                                                                  stream, index, delta, message):
-    def no_packed_pass(family, rules, hi, bits):
-        if bits is not None:
-            raise AssertionError("a packed or count pass was started")
-        return real_pass(family, rules, hi, bits)
-
-    real_pass = families._pass
-    monkeypatch.setattr(families, "_pass", no_packed_pass)
+    monkeypatch.setattr(families, "_walk", _no_walk)
     characteristic(index, delta)
     for call in (lambda: family_polynomial(stream, 8),
                  lambda: families.family_counts(stream, families._first_n(stream, True), 8)):
