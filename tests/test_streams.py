@@ -348,6 +348,24 @@ def test_packing_round_trips_below_a_power_of_x(top, e):
     assert packing.unpack(w, gamma) == p
 
 
+@pytest.mark.parametrize("system", CHAIN_FAMILIES)
+def test_packed_exponent_is_gamma_of_every_stream_value(system):
+    # every stream value the identities give, held as the packed walk of its
+    # characteristic rule holds it: (w, e) with e = gamma of that value, not a lower bound
+    hi = 60
+    rules = families._certify(families._tables(system))
+    packing = families._Packing(families.check_n(system, hi, recurrence=True))
+    walks = {s: list(families._walk(tuple(c for c, _ in rule.terms), initial, hi, packing.bits))
+             for s, rule, initial in families._rules(system, STREAMS[system])}
+    seen = 0
+    for k, cur in families._pass(system, rules, hi):
+        for s, p in cur.items():
+            e = p.gamma()
+            assert walks[s][k] == (DomPoly(p.coeffs[e:]).eval_at(1 << packing.bits), e), (s, k)
+            seen += 1
+    assert seen == len(STREAMS[system]) * (hi + 1 - families._first_n(system))
+
+
 # -- the characteristic rules the packed and count passes run --------------------------
 
 def test_t_characteristic_recurrence_is_the_adopted_t_identity():
