@@ -10,8 +10,18 @@ the worst case; their job is validation, not speed.  Every call memoizes the
 subgraphs it evaluates by value, leaves included: in `memo` when given, else
 in a fresh dict.
 
-Graphs of at most LEAF_ORDER vertices go to the oracle.  Each vertex step above
-it removes a vertex and costs two stack frames, so a graph of more than
+Graphs of at most LEAF_ORDER vertices go to the oracle.  Above it the product
+route comes first: a disconnected graph is the product of its components, each
+evaluated and memoized on its own, so a component that G-u or G-N[u] splits off
+is met again as a memo hit beside whatever other parts it comes with.  Only a
+connected graph takes a vertex step, except the first graph of each route (the
+input of vertex_recurrence, G-e of edge_recurrence): it takes its first step
+whole, so its cap and depth bound are checked before anything splits.
+
+Each vertex step removes a vertex and costs two stack frames.  A split costs
+two as well, its graph's and the product's, and each component has at least
+one vertex fewer than its graph, so the recursion still takes at most two
+frames per removed vertex.  A graph of more than
 (sys.getrecursionlimit() - 40) // 2 + LEAF_ORDER vertices (490 at the default
 limit; 40 frames stay for the caller and the leaf) is refused before it recurses.
 """
@@ -44,9 +54,20 @@ def _pivot_edge(g: Graph) -> tuple[int, int]:
 
 def _eval(g: Graph, cap: int | None, memo: dict) -> DomPoly:
     if g not in memo:
-        memo[g] = (oracle.domination_polynomial(g, cap=cap) if g.n <= LEAF_ORDER
-                   else _apply_vertex(g, max_degree_vertex(g), cap, memo))
+        if g.n <= LEAF_ORDER:
+            memo[g] = oracle.domination_polynomial(g, cap=cap)
+        else:
+            comps = connected_components(g)
+            memo[g] = (_product(g, comps, cap, memo) if len(comps) > 1
+                       else _apply_vertex(g, max_degree_vertex(g), cap, memo))
     return memo[g]
+
+
+def _product(g: Graph, comps: list[list[int]], cap: int | None, memo: dict) -> DomPoly:
+    result = DomPoly.one()
+    for comp in comps:  # a plain loop: one frame per split, as the depth bound counts
+        result = result * _eval(g.induced(comp), cap, memo)
+    return result
 
 
 def _apply_vertex(g: Graph, u: int, cap: int | None, memo: dict) -> DomPoly:
@@ -91,7 +112,10 @@ def edge_recurrence_bracket(
     def ev(h: Graph) -> DomPoly:
         return _eval(h, cap, memo)
 
-    minus_e = ev(ge)  # the largest of the nine graphs: cap and depth bound refuse it first
+    # the largest of the nine graphs takes its first step whole (see the module docstring)
+    if ge.n > LEAF_ORDER and ge not in memo:
+        memo[ge] = _apply_vertex(ge, max_degree_vertex(ge), cap, memo)
+    minus_e = ev(ge)
     s = (
         ev(ge.contract_vertex(u))
         + ev(ge.contract_vertex(v))
@@ -131,8 +155,4 @@ def components_product(
     memo: dict | None = None,
 ) -> DomPoly:
     """D(G,x) as the product over connected components (empty product = 1)."""
-    result = DomPoly.one()
-    memo = {} if memo is None else memo
-    for comp in connected_components(g):
-        result = result * _eval(g.induced(comp), cap, memo)
-    return result
+    return _product(g, connected_components(g), cap, {} if memo is None else memo)

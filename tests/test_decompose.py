@@ -1,3 +1,4 @@
+import random
 import signal
 import sys
 from unittest import mock
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from domchain import decompose, oracle
 from domchain.families import t_polynomial, triangle_chain
-from domchain.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
+from domchain.graph import (
+    Graph, complete_graph, connected_components, cycle_graph, disjoint_union, path_graph)
 from domchain.poly import DomPoly
 from conftest import random_connected_graph, random_disconnected_graph
 
@@ -158,6 +160,54 @@ class TestMemo:
         assert scanned and len(scanned) == len(set(scanned))
 
 
+class TestSplit:
+    """A disconnected graph below the top call is the product of its memoized components."""
+
+    def test_second_copy_of_a_component_is_a_memo_hit(self, monkeypatch):
+        # at u = 0 of P_2 + C_12 + C_12, G/u and G-u are K_1 + C_12 + C_12 and G-N[u] is
+        # C_12 + C_12: one C_12 is evaluated, every other copy is found in the memo
+        calls = []
+        restricted = oracle.restricted_polynomial
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 6)
+        monkeypatch.setattr(oracle, "restricted_polynomial",
+                            lambda *a, **kw: calls.append(1) or restricted(*a, **kw))
+        decompose.vertex_recurrence(cycle_graph(12), memo={})
+        one_cycle = len(calls)
+        calls.clear()
+        g = disjoint_union(path_graph(2), disjoint_union(cycle_graph(12), cycle_graph(12)))
+        cycle = oracle.domination_polynomial(cycle_graph(12))
+        want = oracle.domination_polynomial(path_graph(2)) * cycle * cycle
+        assert decompose.vertex_recurrence(g, 0, memo={}) == want
+        assert len(calls) == one_cycle + 1
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    def test_first_graph_is_refused_whole_before_it_splits(self, monkeypatch, bridge):
+        # the vertex route's input, and G-e of the edge route at the bridge, is K_8 + K_8:
+        # its first pivot enumerates the other K_8, past cap 7, though each K_8 alone fits
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 6)
+        g = disjoint_union(complete_graph(8), complete_graph(8))
+        evaluate = decompose.vertex_recurrence
+        if bridge:
+            g = Graph.from_edges(16, list(g.edges()) + [(0, 8)])
+            evaluate = decompose.edge_recurrence
+        with pytest.raises(oracle.EnumerationCapError,
+                           match="^graph has 8 vertices, enumeration cap is 7$"):
+            evaluate(g, cap=7)
+
+    def test_vertex_identity_runs_on_connected_graphs_only(self, monkeypatch):
+        stepped = []
+        apply_vertex = decompose._apply_vertex
+        monkeypatch.setattr(decompose, "LEAF_ORDER", 6)
+        monkeypatch.setattr(decompose, "_apply_vertex",
+                            lambda g, *a: stepped.append(g) or apply_vertex(g, *a))
+        memo = {}
+        g = cycle_graph(16)
+        assert decompose.vertex_recurrence(g, memo=memo) == oracle.domination_polynomial(g)
+        assert stepped[0] == g and len(stepped) > 1
+        assert all(len(connected_components(h)) == 1 for h in stepped[1:])
+        assert any(len(connected_components(h)) > 1 for h in memo)  # splits did happen
+
+
 class TestCapOnEnumeratedSet:
     """The cap bounds the sets the oracle enumerates, not the input graph."""
 
@@ -178,6 +228,18 @@ class TestCapOnEnumeratedSet:
         monkeypatch.setattr(oracle, "domination_polynomial", no_leaf)
         with pytest.raises(oracle.EnumerationCapError):
             evaluate(triangle_chain(100))
+
+    def test_split_components_fit_where_the_whole_graph_did_not(self, monkeypatch):
+        # a split component's pivot enumerates fewer vertices than the whole graph's,
+        # so at cap 10 this 16-vertex graph computes; without the split it is refused
+        g = random_connected_graph(random.Random(140), 16, 0.1)
+        want = oracle.domination_polynomial(g, cap=30)
+        assert decompose.vertex_recurrence(g, cap=10) == want
+        assert decompose.edge_recurrence(g, cap=10) == want
+        monkeypatch.setattr(decompose, "connected_components", lambda h: [list(range(h.n))])
+        for evaluate in (decompose.vertex_recurrence, decompose.edge_recurrence):
+            with pytest.raises(oracle.EnumerationCapError):
+                evaluate(g, cap=10)
 
     def test_oracle_leaf_still_capped(self, monkeypatch):
         monkeypatch.setattr(decompose, "LEAF_ORDER", 13)
@@ -206,9 +268,9 @@ class TestDepthBound:
 
 
 @st.composite
-def _graphs(draw, max_n=11):
-    """Any simple graph on at most max_n vertices: disconnected and isolated vertices included."""
-    n = draw(st.integers(0, max_n))
+def _graphs(draw, max_n=11, min_n=0):
+    """Any simple graph on min_n..max_n vertices: disconnected and isolated vertices included."""
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
@@ -229,3 +291,14 @@ class TestDifferential:
             else:
                 with pytest.raises(ValueError, match="^graph has no edges$"):
                     decompose.edge_recurrence(g, memo={})
+
+    @settings(max_examples=40, deadline=None)
+    @given(g1=_graphs(9, 5), g2=_graphs(9, 5), leaf=st.integers(3, 8))
+    def test_unions_agree(self, g1, g2, leaf):
+        g = disjoint_union(g1, g2)
+        want = oracle.domination_polynomial(g)
+        with mock.patch.object(decompose, "LEAF_ORDER", leaf):
+            assert decompose.vertex_recurrence(g, memo={}) == want
+            assert decompose.components_product(g, memo={}) == want
+            if g.edge_count():
+                assert decompose.edge_recurrence(g, memo={}) == want
