@@ -21,9 +21,9 @@ the evidence.
 
 Every recurrence identity of the three systems is declared once, as data, in
 IDENTITIES; a literal-paper variant is an entry with adopted=False that carries
-its erratum.  The identities run only in the certificate (_certify, whose
-polynomial pass _pass stops at the largest start + 2, n = 5 here) and in
-verify.py.  The packed and count
+its erratum.  The identities are read only by the certificate (_certify, which
+takes each one's residual on the transfer values up to the largest start + 2,
+n = 5 here) and by verify.py.  The packed and count
 passes behind every polynomial and count view here run none of them: by
 Cayley-Hamilton each stream obeys the scalar recurrence of the block matrix's
 characteristic polynomial (transfer.characteristic), so each requested stream
@@ -52,7 +52,7 @@ with coefficients in [0, 2^order) as d(G,k) <= C(order,k): the walk checks no
 value, and B is the system's top order in whole bytes.  _certify first proves
 the identities, so a system it refutes is refused before any walk, naming the
 stream or identity that fails; then the characteristic rules are proven by the
-same comparison with the transfer values u_s^T M^k v0 (which are also their
+same residual check on the transfer values u_s^T M^k v0 (which are also their
 initial values), so a wrong c_i is refused, never printed.
 """
 from __future__ import annotations
@@ -102,10 +102,11 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
 
 
 class RecurrenceConfigError(RuntimeError):
-    """A closed system _certify refuses: a table its pass cannot run (such as a stream
-    with two or more adopted identities, an adopted identity with no terms, with a term
-    that reads no stream or with a left side that is no stream of the system), or the
-    first value of that pass that is not its transfer value, naming the stream or identity."""
+    """A closed system _certify refuses: a table that is no closed recurrence system (such
+    as a stream with two or more adopted identities, an adopted identity with no terms,
+    with a term that reads no stream or with a left side that is no stream of the system),
+    or the first identity whose residual on the transfer values is nonzero, naming the
+    stream or identity."""
 
     def __init__(self, identity: str, detail: str):
         super().__init__(f"{identity}: {detail}")
@@ -380,16 +381,6 @@ def _held(p: DomPoly, bits: int):
     return DomPoly(p.coeffs[e:]).eval_at(1 << bits), e
 
 
-def _pass(family: str, rules: tuple, hi: int):
-    """Yield (k, {stream: D(X_k, x)}) for every stream of `rules`, k = first graph n..hi,
-    with no value checked: the certificate's polynomial pass."""
-    vals: dict[tuple[str, int], DomPoly] = {}
-    for k in range(_first_n(family), hi + 1):
-        for s, rule, initial in rules:
-            vals[s, k] = rule.rhs(k, lambda t, j: vals[t, j]) if k >= rule.start else initial[k]
-        yield k, {s: vals[s, k] for s, _, _ in rules}
-
-
 def _walk(cs: tuple[DomPoly, ...], initial: tuple[DomPoly, ...], hi: int, bits: int):
     """Yield a_k for k = 0..hi as _held holds it at `bits`, with no value checked: initial[k]
     below len(initial), then a_k = c_1 a_(k-1) + ... + c_d a_(k-d), d = len(cs).  Only the
@@ -440,15 +431,16 @@ def _certify(tables: tuple) -> tuple:
     (stream, its one adopted identity in `tables`, its initial values u_s^T M^k v0
     for k < start, read from the first graph n on), in evaluation order.
 
-    Refuse first a table the pass cannot run: an adopted identity whose left side
-    is no stream of the system, a stream with no or several adopted identities, an
-    identity with no terms or with a term that reads no stream, a read the pass has
-    not evaluated (a later or foreign stream, or n ahead), or a start whose look-back
-    reaches below the first graph n.  Then run the pass on polynomials to the largest
-    start + 2 and refuse the first value from its stream's start on that is not
-    u_s^T M^k v0 (transfer's three-point lemma): each is the rhs over values already
-    matched, so a match is a zero residual, and if all match, induction over the
-    evaluation order makes every later value its graph's domination polynomial.
+    Refuse first a table that is no closed recurrence system: an adopted identity
+    whose left side is no stream of the system, a stream with no or several adopted
+    identities, an identity with no terms or with a term that reads no stream, a read
+    that evaluation in stream order has not reached (a later or foreign stream, or n
+    ahead), or a start whose look-back reaches below the first graph n.  Then refuse
+    the first identity whose residual lhs_n - rhs_n on the transfer values u_s^T M^n v0
+    is nonzero at its start, start + 1 or start + 2 (_proven).  Zero at those three
+    makes it zero at every n (transfer's three-point lemma), so the transfer values,
+    which are the graphs' domination polynomials, satisfy every identity; as the
+    system is closed, they are the only values it yields from these initial values.
     """
     system, block, gadgets, identities = tables
     streams = [s for s, _ in gadgets]
@@ -481,18 +473,19 @@ def _certify(tables: tuple) -> tuple:
 
 def _proven(system: str, block: tuple, gadgets: tuple, pairs: list) -> tuple:
     """(stream, rule, its initial values u_s^T M^k v0 for k < start) for each (stream, rule)
-    in `pairs`, once the pass over them on polynomials to the largest start + 2 gives every
-    value u_s^T M^k v0; refuse the first that does not, naming its rule."""
+    in `pairs`, once every rule's residual on the transfer values is zero at each n from the
+    first graph n to the largest start + 2 (from its start on); refuse the first nonzero one,
+    by n and then in evaluation order, naming its rule."""
     ws = transfer.states(block, max((e.start for _, e in pairs), default=0) + 2)
     u = {s: transfer.finish(g) for s, g in gadgets}
     want = {s: [transfer.dot(u[s], w) for w in ws] for s in u}
-    rules = tuple((s, e, tuple(want[s][:e.start])) for s, e in pairs)
-    for k, cur in _pass(system, rules, len(ws) - 1):
-        for s, e, _ in rules:
-            if cur[s] != want[s][k]:
-                raise RecurrenceConfigError(
-                    e.label, f"nonzero residual {(want[s][k] - cur[s]).to_text()} at n={k}")
-    return rules
+    for n in range(_first_n(system), len(ws)):
+        for s, e in pairs:
+            if n >= e.start:
+                r = want[s][n] - e.rhs(n, lambda t, j: want[t][j])
+                if not r.is_zero():
+                    raise RecurrenceConfigError(e.label, f"nonzero residual {r.to_text()} at n={n}")
+    return tuple((s, e, tuple(want[s][:e.start])) for s, e in pairs)
 
 
 @lru_cache(maxsize=None)

@@ -57,10 +57,13 @@ _LOW_BITS = 16  # low table size: 2^16 entries, about 1.3 MB of arrays per scan
 
 
 class EnumerationCapError(RuntimeError):
-    """Graph too large for exhaustive enumeration (never silently approximated)."""
+    """Graph too large for exhaustive enumeration (never silently approximated): n vertices
+    to enumerate against the cap; `of` is the graph's order when p_u enumerates only the n
+    vertices outside N[u]."""
 
-    def __init__(self, n: int, cap: int):
-        super().__init__(f"graph has {n} vertices, enumeration cap is {cap}")
+    def __init__(self, n: int, cap: int, of: int | None = None):
+        what = f"graph has {n}" if of is None else f"p_u enumerates {n} of {of}"
+        super().__init__(f"{what} vertices, enumeration cap is {cap}")
         self.n = n
         self.cap = cap
 
@@ -74,11 +77,12 @@ def check_cap(cap: int | None) -> int:
     return cap
 
 
-def check_order(n: int, cap: int | None) -> None:
-    """Raise EnumerationCapError when n items are more than the cap (resolved by check_cap)."""
+def check_order(n: int, cap: int | None, of: int | None = None) -> None:
+    """Raise EnumerationCapError when n items are more than the cap (resolved by check_cap);
+    `of`, if given, is the order of the graph they are taken from."""
     cap = check_cap(cap)
     if n > cap:
-        raise EnumerationCapError(n, cap)
+        raise EnumerationCapError(n, cap, of)
 
 
 @functools.cache  # built on first use per width, never at import
@@ -159,5 +163,5 @@ def restricted_polynomial(g: Graph, u: int, cap: int | None = None) -> DomPoly:
     target = g.full_mask & ~(1 << u)
     around = g.closed(u)
     allowed = [w for w in range(g.n) if not around >> w & 1]
-    check_order(len(allowed), cap)
+    check_order(len(allowed), cap, g.n)
     return DomPoly(_scan([g.closed(w) for w in allowed], target).tolist())

@@ -1,4 +1,4 @@
-"""Block transfer matrices of the chain systems: the values the certificate compares the pass with.
+"""Block transfer matrices of the chain systems: the values the certificate checks each identity on.
 
 A chain member is one block repeated n times, glued at single cut vertices,
 with an optional gadget at the free terminal.  A vertex DP carries the
@@ -21,7 +21,9 @@ The three-point lemma.  An identity reading n - d..n is a fixed
 Z[x]-combination of such terms, so on the graphs its residual r_n = lhs_n -
 rhs_n is c^T M^(n - d) v0 for n >= d.  By Cayley-Hamilton, r_(n+3) = tr(M)
 r_(n+2) - e2(M) r_(n+1) + det(M) r_n, so r_n zero at start, start + 1 and
-start + 2 (start >= d) makes it zero for every n >= start.
+start + 2 (start >= d) makes it zero for every n >= start.  The certificate
+(families._certify) computes r_n on these values directly, with no pass over
+the identities: three zeros prove the identity for every n.
 """
 from __future__ import annotations
 

@@ -365,8 +365,8 @@ class TestBench:
         assert [r[-1] for r in csv.reader(io.StringIO(out))][1:] == ["ok"] * (4 - lo)
 
     def test_rows_come_from_one_packed_pass(self, capsys, monkeypatch):
-        # one packed walk, of Q's characteristic rule up to n = 5; the certificate's own
-        # polynomial pass is no walk
+        # one packed walk, of Q's characteristic rule up to n = 5; the certificate's
+        # residual check runs no walk
         def recorder(cs, initial, hi, bits):
             started.append((cs, hi, bits > 0))
             return real_walk(cs, initial, hi, bits)
@@ -473,7 +473,7 @@ class TestInputBounds:
             raise AssertionError("a recurrence was run")
 
         monkeypatch.setattr(families, "family_polynomial", no_pass)
-        monkeypatch.setattr(families, "_pass", no_pass)
+        monkeypatch.setattr(families, "_proven", no_pass)
         monkeypatch.setattr(families, "_walk", no_pass)
         code, out, err = run(capsys, "bench", "--family", "Q", "--n-range", "3332:3333")
         assert (code, out, err) == (

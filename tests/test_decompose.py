@@ -191,7 +191,7 @@ class TestSplit:
             g = Graph.from_edges(16, list(g.edges()) + [(0, 8)])
             evaluate = decompose.edge_recurrence
         with pytest.raises(oracle.EnumerationCapError,
-                           match="^graph has 8 vertices, enumeration cap is 7$"):
+                           match="^p_u enumerates 8 of 16 vertices, enumeration cap is 7$"):
             evaluate(g, cap=7)
 
     def test_vertex_identity_runs_on_connected_graphs_only(self, monkeypatch):

@@ -20,11 +20,11 @@ _FILES = {
 }
 
 # name -> the (owner, attribute) pairs of work a refusal must come before; "pass" is
-# both the certificate's polynomial pass and the packed or count walk
+# both the certificate's residual check and the packed or count walk
 _WORK = {
     "build_chain": ((families, "build_chain"),),
     "family_polynomial": ((families, "family_polynomial"),),
-    "pass": ((families, "_pass"), (families, "_walk")),
+    "pass": ((families, "_proven"), (families, "_walk")),
     "packing": ((families, "_Packing"),),
     "from_edges": ((Graph, "from_edges"),),
     "scan": ((oracle, "_scan"),),
@@ -76,7 +76,7 @@ ROWS = [
     ("cap within a range", ("compute", "--family", "Q", "--n-range", "5:9", "--cap", "24"),
      ("build_chain", "scan"), 3, "domchain: graph has 25 vertices, enumeration cap is 24\n"),
     ("cap at the pivot", ("compute", "--family", "T", "--n", "400", "--method", "vertex"),
-     ("scan", "recurse"), 3, "domchain: graph has 796 vertices, enumeration cap is 24\n"),
+     ("scan", "recurse"), 3, "domchain: p_u enumerates 796 of 801 vertices, enumeration cap is 24\n"),
     ("verify cap", ("verify", "--family", "Q", "--cap", "5"),
      ("build_chain", "scan"), 3, "domchain: graph has 6 vertices, enumeration cap is 5\n"),
     ("hard cap", ("compute", "--family", "T", "--n", "1", "--cap", "31"),
@@ -100,7 +100,7 @@ ROWS = [
      "domchain: error: --method recurrence requires a --family input\n"),
     ("n without family", ("compute", "--n", "3"),
      ("build_chain", "pass"), 1, "domchain: error: --n and --n-range need --family\n"),
-    # the certificate runs its own polynomial pass; the packed pass must not start
+    # the certificate takes its residuals; the packed pass must not start
     ("unproven system", ("compute", "--family", "O", "--n", "5", "--method", "recurrence"),
      ("packing", "from_edges"), 2,
      "domchain: O primed identity (iii): nonzero residual x^4+3x^3+x^2 at n=1\n"),

@@ -130,7 +130,7 @@ def test_gadget_that_is_not_the_graph_fails_the_certificate(monkeypatch, edges, 
     lambda: next(families.stream_values("O", 0, 5, ("Op",))),
 ], ids=["family_polynomial", "family_counts", "stream_values"])
 def test_unproven_system_is_refused_before_any_pass(monkeypatch, call):
-    # the certificate's own polynomial pass may run; a packed or count walk may not
+    # the certificate may take its residuals; a packed or count walk may not start
     monkeypatch.setattr(families, "_walk", _no_walk)
     with_multiplier(monkeypatch, "O", "Op", "-x", "-2x")
     with pytest.raises(RecurrenceConfigError) as ei:
@@ -175,7 +175,7 @@ def _wrong_q2_first(monkeypatch) -> None:
         "extra term reads no stream", "only term reads no stream", "left side no stream"])
 def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
     edit(monkeypatch)
-    monkeypatch.setattr(families, "_pass", None)  # refused before even the certificate's pass
+    monkeypatch.setattr(families, "_proven", None)  # refused before any residual is taken
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial("Q", 5)
     assert str(ei.value) == message
@@ -195,9 +195,9 @@ def test_certificate_returns_each_stream_with_its_adopted_identity(system):
 @pytest.mark.parametrize("stream, k", [(s, k) for s, bases in STATED_BASES.items()
                                        for k in bases])
 def test_pass_takes_each_initial_value_from_its_rule(stream, k):
-    # below its start a stream's value is its rule's initial value: in the certificate's
-    # polynomial pass over the identities, and in the walk of its characteristic rule as
-    # _held holds it, as a count and packed; an edited one is yielded in its place
+    # below its start a stream's value is its rule's initial value: in the walk of its
+    # characteristic rule as _held holds it, as a count and packed; an edited one is
+    # yielded in its place
     system = stream[0]
     stated = STATED_BASES[stream][k]
     edited = stated + DomPoly.monomial(1, 1)
@@ -205,11 +205,6 @@ def test_pass_takes_each_initial_value_from_its_rule(stream, k):
     def edit(initial: tuple) -> tuple:
         return tuple(edited if j == k else v for j, v in enumerate(initial))
 
-    rules = families._certify(families._tables(system))
-    edited_rules = tuple((s, e, edit(initial) if s == stream else initial)
-                         for s, e, initial in rules)
-    for table, want in ((rules, stated), (edited_rules, edited)):
-        assert dict(families._pass(system, table, k))[k][stream] == want, table is edited_rules
     (_, rule, initial), = families._rules(system, (stream,))
     assert k < rule.start
     cs = tuple(c for c, _ in rule.terms)
@@ -249,25 +244,26 @@ def test_star_for_path_is_refused_by_the_identity_it_breaks(monkeypatch, kind, o
     (lambda: families.family_counts("O", 1, 9), "O", False),
 ], ids=["family_polynomials", "family_values", "family_counts"])
 def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call, stream, packed):
-    # with both caches cleared: the certificate's polynomial pass over the identities, then
+    # with both caches cleared: the certificate's residual check of the identities, then
     # the same proof of the stream's characteristic rule, then one packed (B > 0) or count
     # (B = 0) walk of that proven rule and of no other stream
-    def record_pass(family, rules, hi):
-        started.append(("pass", rules))
-        return real_pass(family, rules, hi)
+    def record_proven(*args):
+        rules = real_proven(*args)
+        started.append(("proven", rules))
+        return rules
 
     def record_walk(cs, initial, hi, bits):
         started.append(("walk", (cs, initial, bits)))
         return real_walk(cs, initial, hi, bits)
 
     started = []
-    real_pass, real_walk = families._pass, families._walk
-    monkeypatch.setattr(families, "_pass", record_pass)
+    real_proven, real_walk = families._proven, families._walk
+    monkeypatch.setattr(families, "_proven", record_proven)
     monkeypatch.setattr(families, "_walk", record_walk)
     families._certify.cache_clear()
     families._characteristic_rules.cache_clear()
     call()
-    assert [what for what, _ in started] == ["pass", "pass", "walk"]
+    assert [what for what, _ in started] == ["proven", "proven", "walk"]
     (_, identities), (_, proof), (_, (walked, initial, bits)) = started
     assert identities is families._certify(families._tables(stream[0]))
     assert proof is families._rules(stream[0], (stream,))
@@ -350,20 +346,29 @@ def test_packing_round_trips_below_a_power_of_x(top, e):
 
 @pytest.mark.parametrize("system", CHAIN_FAMILIES)
 def test_packed_exponent_is_gamma_of_every_stream_value(system):
-    # every stream value the identities give, held as the packed walk of its
-    # characteristic rule holds it: (w, e) with e = gamma of that value, not a lower bound
+    # every stream value u_s^T M^k v0, held as the packed walk of its characteristic rule
+    # holds it: (w, e) with e = gamma of that value, not a lower bound; and far past its
+    # start every adopted identity's residual on those values is zero
     hi = 60
-    rules = families._certify(families._tables(system))
+    first = families._first_n(system)
+    ws = transfer.states(families._BLOCKS[system], hi)
+    want = {s: [transfer.dot(transfer.finish(families._attached(s, None)), w) for w in ws]
+            for s in STREAMS[system]}
     packing = families._Packing(families.check_n(system, hi, recurrence=True))
     walks = {s: list(families._walk(tuple(c for c, _ in rule.terms), initial, hi, packing.bits))
              for s, rule, initial in families._rules(system, STREAMS[system])}
     seen = 0
-    for k, cur in families._pass(system, rules, hi):
-        for s, p in cur.items():
+    for k in range(first, hi + 1):
+        for s in STREAMS[system]:
+            p = want[s][k]
             e = p.gamma()
             assert walks[s][k] == (DomPoly(p.coeffs[e:]).eval_at(1 << packing.bits), e), (s, k)
             seen += 1
-    assert seen == len(STREAMS[system]) * (hi + 1 - families._first_n(system))
+        for rule in IDENTITIES[system]:
+            if rule.adopted and k >= rule.start:
+                residual = want[rule.lhs][k] - rule.rhs(k, lambda t, j: want[t][j])
+                assert residual.is_zero(), (rule.label, k, residual.to_text())
+    assert seen == len(STREAMS[system]) * (hi + 1 - first)
 
 
 # -- the characteristic rules the packed and count passes run --------------------------

@@ -3,8 +3,11 @@
 transfer derives M(x), v0 and each u_s from the graph tables alone; its values
 are checked against the enumeration oracle on every member of at most 20
 vertices and against perfbench/reference.py's frontier DP (no shared code) up
-to n = 300.  Mutants of the tables must break either the certificate
-(families._certify) or the oracle anchor.
+to n = 300.  The certificate (families._certify) proves an identity by its
+residual on these values: zero at its start and the two n after it is zero at
+every n (transfer's three-point lemma).  Mutants of the tables must break either
+the certificate or the oracle anchor, and every identity of a table the
+certificate accepts must have a zero residual on the transfer values.
 """
 import random
 from dataclasses import replace
@@ -241,7 +244,8 @@ def _mutated_tables(draw):
 @given(_mutated_tables())
 def test_mutated_table_is_refused_or_exact(mutated):
     # every value of an accepted table equals u_s^T M^n v0, which the tests above
-    # check against the oracle and the reference DP; nothing else may escape
+    # check against the oracle and the reference DP, and every adopted identity of
+    # it holds on those values; nothing else may escape
     system, table = mutated
     first, streams = families._first_n(system), families.STREAMS[system]
     with pytest.MonkeyPatch.context() as mp:
@@ -250,8 +254,13 @@ def test_mutated_table_is_refused_or_exact(mutated):
             got = [v for _, v in families.stream_values(system, first, 8, streams)]
         except RecurrenceConfigError:
             return
+    want = {s: _transfer_values(s, 8) for s in streams}
     for s in streams:
-        assert [v[s] for v in got] == _transfer_values(s, 8)[first:]
+        assert [v[s] for v in got] == want[s][first:]
+    for e in (e for e in table if e.adopted):
+        for n in range(e.start, 9):
+            residual = want[e.lhs][n] - e.rhs(n, lambda t, j: want[t][j])
+            assert residual.is_zero(), (e.label, n, residual.to_text())
 
 
 def _anchor_holds(stream: str, want: dict[int, DomPoly]) -> bool:
