@@ -21,15 +21,14 @@ the evidence.
 
 Every recurrence identity of the three systems is declared once, as data, in
 IDENTITIES; a literal-paper variant is an entry with adopted=False that carries
-its erratum.  The identities are read only by the certificate (_certify, which
-takes each one's residual on the transfer values up to the largest start + 2,
-n = 5 here) and by verify.py.  The packed and count
-passes behind every polynomial and count view here run none of them: by
-Cayley-Hamilton each stream obeys the scalar recurrence of the block matrix's
-characteristic polynomial (transfer.characteristic), so each requested stream
-is one walk (_walk) of that order d <= 3 rule, a_k = c_1 a_(k-1) + ... +
-c_d a_(k-d), reading only the stream itself and keeping only its last d values.
-For T it is the paper's identity (det M = 0).
+its erratum.  The identities are read only by the certificate (_certify) and by
+verify.py.  The packed and count walks behind every polynomial and count view
+here run none of them: by Cayley-Hamilton each stream obeys the scalar
+recurrence of the block matrix's characteristic polynomial
+(transfer.characteristic), so each requested stream is one walk (_walk) of that
+order d <= 3 rule, a_k = c_1 a_(k-1) + ... + c_d a_(k-d), reading only the
+stream itself and keeping only its last d values.  For T it is the paper's
+identity (det M = 0).
 
 A walk at B > 0 runs on packed integers (Kronecker substitution, as in Harvey,
 arXiv:0712.4046, but packed once per walk rather than once per product).
@@ -47,13 +46,10 @@ cancellation can only raise gamma.  B = 0 is the count walk behind `sequence`,
 on the plain ints D(X_k, 1), each c_i read at x = 1: it has no zero digits to
 strip, and carrying e there doubled its time.
 
-A walk runs only a proven rule, so every value is a domination polynomial,
-with coefficients in [0, 2^order) as d(G,k) <= C(order,k): the walk checks no
-value, and B is the system's top order in whole bytes.  _certify first proves
-the identities, so a system it refutes is refused before any walk, naming the
-stream or identity that fails; then the characteristic rules are proven by the
-same residual check on the transfer values u_s^T M^k v0 (which are also their
-initial values), so a wrong c_i is refused, never printed.
+A walk runs only the rule and initial values _certify proves and returns, so
+every value is a domination polynomial, with coefficients in [0, 2^order) as
+d(G,k) <= C(order,k): the walk checks no value, and B is the system's top order
+in whole bytes.
 """
 from __future__ import annotations
 
@@ -62,6 +58,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from operator import add
+from types import MappingProxyType
 from typing import Callable
 
 from . import transfer
@@ -102,11 +99,7 @@ _GADGETS = {kind: Graph.from_edges(max(map(max, edges)) + 1, edges) for kind, ed
 
 
 class RecurrenceConfigError(RuntimeError):
-    """A closed system _certify refuses: a table that is no closed recurrence system (such
-    as a stream with two or more adopted identities, an adopted identity with no terms,
-    with a term that reads no stream or with a left side that is no stream of the system),
-    or the first identity whose residual on the transfer values is nonzero, naming the
-    stream or identity."""
+    """A closed system _certify refuses, naming the stream or rule that fails."""
 
     def __init__(self, identity: str, detail: str):
         super().__init__(f"{identity}: {detail}")
@@ -382,9 +375,9 @@ def _held(p: DomPoly, bits: int):
 
 
 def _walk(cs: tuple[DomPoly, ...], initial: tuple[DomPoly, ...], hi: int, bits: int):
-    """Yield a_k for k = 0..hi as _held holds it at `bits`, with no value checked: initial[k]
-    below len(initial), then a_k = c_1 a_(k-1) + ... + c_d a_(k-d), d = len(cs).  Only the
-    last d values are kept (see the module docstring)."""
+    """Yield a_k for k = 0..hi as _held holds it at `bits`, with no value checked (cs and
+    initial are _certify's): initial[k] below len(initial), then a_k = c_1 a_(k-1) + ... +
+    c_d a_(k-d), d = len(cs).  Only the last d values are kept (see the module docstring)."""
     last: deque = deque(maxlen=len(cs))
     at_one = [c.eval_at(1) for c in cs]
     powers = [[(j, a) for j, a in enumerate(c.coeffs) if a] for c in cs]
@@ -427,20 +420,21 @@ def _tables(system: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _certify(tables: tuple) -> tuple:
-    """Prove the system `tables` names for every n and return its identity rule table:
-    (stream, its one adopted identity in `tables`, its initial values u_s^T M^k v0
-    for k < start, read from the first graph n on), in evaluation order.
+    """Prove the system `tables` names for every n and return the rule every walk runs:
+    (cs, {stream: its initial values u_s^T M^k v0 for k < first graph n + len(cs)}), with
+    cs = transfer.characteristic of the block, the same for every stream.
 
     Refuse first a table that is no closed recurrence system: an adopted identity
     whose left side is no stream of the system, a stream with no or several adopted
     identities, an identity with no terms or with a term that reads no stream, a read
-    that evaluation in stream order has not reached (a later or foreign stream, or n
-    ahead), or a start whose look-back reaches below the first graph n.  Then refuse
-    the first identity whose residual lhs_n - rhs_n on the transfer values u_s^T M^n v0
-    is nonzero at its start, start + 1 or start + 2 (_proven).  Zero at those three
-    makes it zero at every n (transfer's three-point lemma), so the transfer values,
-    which are the graphs' domination polynomials, satisfy every identity; as the
-    system is closed, they are the only values it yields from these initial values.
+    that evaluation in stream order has not reached (a later or foreign stream, the
+    stream itself or n ahead), or a start whose look-back reaches below the first graph
+    n.  Then, by each rule's residual lhs_n - rhs_n on the transfer values at its start,
+    start + 1 and start + 2 (_proven), refuse the first adopted identity that fails and
+    then the first stream whose characteristic rule fails.  Three zeros are zero at every
+    n (transfer.py's three-point lemma), so the transfer values, which are the graphs'
+    domination polynomials, satisfy every identity of this closed system, and the walks
+    of cs from these initial values yield exactly them.
     """
     system, block, gadgets, identities = tables
     streams = [s for s, _ in gadgets]
@@ -468,46 +462,31 @@ def _certify(tables: tuple) -> tuple:
                 e.label, f"starts at n={e.start}, reading n={e.start - e.depth} below the "
                          f"first graph n={first}")
         pairs.append((s, e))
-    return _proven(system, block, gadgets, pairs)
+    cs = transfer.characteristic(block)
+    start = first + len(cs)
+    want = _proven(system, block, gadgets, pairs, [
+        (s, Identity(s, tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1)), start,
+                     f"{s} characteristic recurrence")) for s in streams])
+    # read-only: the cache hands this one mapping to every caller
+    return cs, MappingProxyType({s: tuple(want[s][:start]) for s in streams})
 
 
-def _proven(system: str, block: tuple, gadgets: tuple, pairs: list) -> tuple:
-    """(stream, rule, its initial values u_s^T M^k v0 for k < start) for each (stream, rule)
-    in `pairs`, once every rule's residual on the transfer values is zero at each n from the
-    first graph n to the largest start + 2 (from its start on); refuse the first nonzero one,
-    by n and then in evaluation order, naming its rule."""
-    ws = transfer.states(block, max((e.start for _, e in pairs), default=0) + 2)
+def _proven(system: str, block: tuple, gadgets: tuple, *tables: list) -> dict:
+    """{stream: u_s^T M^n v0 for n up to the largest start + 2}, once every (stream, rule)
+    of `tables` passes _certify's residual check; each list in turn, by n and then in
+    evaluation order."""
+    ws = transfer.states(block, max(e.start for pairs in tables for _, e in pairs) + 2)
     u = {s: transfer.finish(g) for s, g in gadgets}
     want = {s: [transfer.dot(u[s], w) for w in ws] for s in u}
-    for n in range(_first_n(system), len(ws)):
-        for s, e in pairs:
-            if n >= e.start:
-                r = want[s][n] - e.rhs(n, lambda t, j: want[t][j])
-                if not r.is_zero():
-                    raise RecurrenceConfigError(e.label, f"nonzero residual {r.to_text()} at n={n}")
-    return tuple((s, e, tuple(want[s][:e.start])) for s, e in pairs)
-
-
-@lru_cache(maxsize=None)
-def _characteristic_rules(system: str, block: tuple, gadgets: tuple) -> tuple:
-    """The rule table the walks run for the streams `gadgets` names: each
-    stream's own characteristic recurrence (transfer.characteristic), from the first graph
-    n + its order on, proven against the transfer values as _certify proves the identities."""
-    cs = transfer.characteristic(block)
-    start = _first_n(system) + len(cs)
-    return _proven(system, block, gadgets, [
-        (s, Identity(s, tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1)), start,
-                     f"{s} characteristic recurrence"))
-        for s, _ in gadgets])
-
-
-def _rules(system: str, streams: tuple[str, ...]) -> tuple:
-    """Prove the system's identities (_certify, so every refusal is its), then return the
-    proven characteristic rules of `streams`, in evaluation order."""
-    tables = _tables(system)
-    _certify(tables)
-    system, block, gadgets, _ = tables
-    return _characteristic_rules(system, block, tuple(g for g in gadgets if g[0] in streams))
+    for pairs in tables:
+        for n in range(_first_n(system), len(ws)):
+            for s, e in pairs:
+                if n >= e.start:
+                    r = want[s][n] - e.rhs(n, lambda t, j: want[t][j])
+                    if not r.is_zero():
+                        raise RecurrenceConfigError(e.label,
+                                                    f"nonzero residual {r.to_text()} at n={n}")
+    return want
 
 
 def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
@@ -524,12 +503,9 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
     if family not in STREAMS:
         raise ValueError(f"no system {family!r}; systems are {STREAMS}")
     top = _pass_top(family, lo, hi)
-    rules = _rules(family, streams)  # refused before anything is packed
+    cs, initial = _certify(_tables(family))  # refused before anything is packed
     packing = _Packing(top)
-    walks = dict.fromkeys(streams)  # in the order asked for
-    for s, rule, initial in rules:
-        cs = tuple(c for c, _ in rule.terms)
-        walks[s] = islice(_walk(cs, initial, hi, packing.bits), lo, None)
+    walks = {s: islice(_walk(cs, initial[s], hi, packing.bits), lo, None) for s in streams}
     return ((k, {s: packing.unpack(*next(w)) for s, w in walks.items()})
             for k in range(lo, hi + 1))
 
@@ -554,8 +530,8 @@ def family_polynomial(family: str, n: int) -> DomPoly:
 def family_counts(family: str, lo: int, hi: int) -> list[int]:
     """D(X_n, 1) for n = lo..hi: the count walk (B = 0) of the proven rule."""
     check_n(family, lo, hi, recurrence=True)
-    (_, rule, initial), = _rules(family[0], (family,))
-    return list(islice(_walk(tuple(c for c, _ in rule.terms), initial, hi, 0), lo, None))
+    cs, initial = _certify(_tables(family[0]))
+    return list(islice(_walk(cs, initial[family], hi, 0), lo, None))
 
 
 def count_sequence(family: str, max_n: int) -> tuple[int, list[int]]:

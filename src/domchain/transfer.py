@@ -22,8 +22,7 @@ Z[x]-combination of such terms, so on the graphs its residual r_n = lhs_n -
 rhs_n is c^T M^(n - d) v0 for n >= d.  By Cayley-Hamilton, r_(n+3) = tr(M)
 r_(n+2) - e2(M) r_(n+1) + det(M) r_n, so r_n zero at start, start + 1 and
 start + 2 (start >= d) makes it zero for every n >= start.  The certificate
-(families._certify) computes r_n on these values directly, with no pass over
-the identities: three zeros prove the identity for every n.
+(families._certify) takes each rule's r_n on these values.
 """
 from __future__ import annotations
 

@@ -160,10 +160,10 @@ def verify_families(
 
 
 def _closed_checks(fam: str, top: int, poly: Callable[[str, int, str | None], DomPoly]):
-    """The streams as the packed pass builds them against the oracle, n = 1..top, in one pass.
+    """The streams as the walks build them against the oracle, n = 1..top.
 
-    That pass runs each stream's characteristic recurrence once the certificate has
-    proven the identities checked above, so these checks test the pass, not the identities.
+    The walks run the rule families._certify returns, not the identities checked above,
+    so these checks test the walks.
     """
     counts = families.t_count_sequence(top) if fam == "T" else None
     for n, values in families.stream_values(fam, 1, top, families.STREAMS[fam]):

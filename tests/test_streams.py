@@ -142,10 +142,10 @@ def _no_walk(*args):
     raise AssertionError("a packed or count pass was started")
 
 
-def _edit_q(monkeypatch, lhs: str, **changes) -> None:
-    """Apply `changes` to the adopted Q identity for `lhs`."""
-    monkeypatch.setitem(IDENTITIES, "Q", tuple(
-        replace(e, **changes) if e.adopted and e.lhs == lhs else e for e in IDENTITIES["Q"]))
+def _edit(monkeypatch, lhs: str, **changes) -> None:
+    """Apply `changes` to the adopted identity for `lhs` in its system's table."""
+    monkeypatch.setitem(IDENTITIES, lhs[0], tuple(
+        replace(e, **changes) if e.adopted and e.lhs == lhs else e for e in IDENTITIES[lhs[0]]))
 
 
 def _wrong_q2_first(monkeypatch) -> None:
@@ -155,41 +155,55 @@ def _wrong_q2_first(monkeypatch) -> None:
     monkeypatch.setitem(IDENTITIES, "Q", (wrong, *IDENTITIES["Q"]))
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda mp: _edit_q(mp, "Qtri", adopted=False), "Qtri stream: no adopted identity"),
-    (_wrong_q2_first, "Q2 stream: 2 adopted identities"),
-    (lambda mp: _edit_q(mp, "Qtri", terms=()), "Q triangle-gadget identity (i): no terms"),
-    (lambda mp: _edit_q(mp, "Q+e", start=1),
+@pytest.mark.parametrize("family, edit, message", [
+    ("Q", lambda mp: _edit(mp, "Qtri", adopted=False), "Qtri stream: no adopted identity"),
+    ("Q", _wrong_q2_first, "Q2 stream: 2 adopted identities"),
+    ("Q", lambda mp: _edit(mp, "Qtri", terms=()), "Q triangle-gadget identity (i): no terms"),
+    ("Q", lambda mp: _edit(mp, "Q+e", start=1),
      "Q pendant identity (iv): starts at n=1, reading n=-1 below the first graph n=0"),
     # Qtri_n = (2+2x) Q+e_n - Qp_n holds on the graphs, but Qp_n comes after Qtri_n
-    (lambda mp: _edit_q(mp, "Qtri", terms=((_p("2+2x"), (("Q+e", 0),)), (_p("-1"), (("Qp", 0),)))),
+    ("Q", lambda mp: _edit(mp, "Qtri",
+                           terms=((_p("2+2x"), (("Q+e", 0),)), (_p("-1"), (("Qp", 0),)))),
      "Q triangle-gadget identity (i): reads Qp at offset 0, which the pass has not evaluated"),
-    (lambda mp: _edit_q(mp, "Qtri", terms=(*IDENTITIES["Q"][0].terms, (_p("x"), ()))),
+    ("Q", lambda mp: _edit(mp, "Qtri", terms=(*IDENTITIES["Q"][0].terms, (_p("x"), ()))),
      "Q triangle-gadget identity (i): a term reads no stream"),
-    (lambda mp: _edit_q(mp, "Qtri", terms=((_p("x"), ()),)),
+    ("Q", lambda mp: _edit(mp, "Qtri", terms=((_p("x"), ()),)),
      "Q triangle-gadget identity (i): a term reads no stream"),
-    (lambda mp: mp.setitem(IDENTITIES, "Q", (*IDENTITIES["Q"], replace(IDENTITIES["Q"][0], lhs="Zed"))),
+    ("Q", lambda mp: mp.setitem(IDENTITIES, "Q",
+                                (*IDENTITIES["Q"], replace(IDENTITIES["Q"][0], lhs="Zed"))),
      "Q triangle-gadget identity (i): left side Zed is no stream of Q"),
+    # X_n = 1 X_n has a zero residual at every n, so only the evaluation order refuses it
+    ("Q", lambda mp: _edit(mp, "Q", terms=((_p("1"), (("Q", 0),)),), start=1),
+     "Q-chain order-3 theorem recurrence: reads Q at offset 0, which the pass has not evaluated"),
+    ("O", lambda mp: _edit(mp, "O", terms=((_p("1"), (("O", 0),)),)),
+     "O-chain theorem recurrence: reads O at offset 0, which the pass has not evaluated"),
 ], ids=["no adopted identity", "two adopted identities", "no terms", "start before the look-back reaches a graph",
         "read of a stream not yet evaluated",
-        "extra term reads no stream", "only term reads no stream", "left side no stream"])
-def test_malformed_table_is_refused_before_any_pass(monkeypatch, edit, message):
+        "extra term reads no stream", "only term reads no stream", "left side no stream",
+        "Q reads itself at n", "O reads itself at n"])
+def test_malformed_table_is_refused_before_any_pass(monkeypatch, family, edit, message):
     edit(monkeypatch)
     monkeypatch.setattr(families, "_proven", None)  # refused before any residual is taken
     with pytest.raises(RecurrenceConfigError) as ei:
-        family_polynomial("Q", 5)
+        family_polynomial(family, 5)
     assert str(ei.value) == message
 
 
 @pytest.mark.parametrize("system", CHAIN_FAMILIES)
-def test_certificate_returns_each_stream_with_its_adopted_identity(system):
-    # and, below the identity's start, the stream's transfer values as its initial values
-    rules = families._certify(families._tables(system))
-    assert tuple(s for s, _, _ in rules) == STREAMS[system]
+def test_certificate_returns_each_stream_with_its_initial_values(system):
+    # the characteristic rule, and each stream's transfer values below the first graph n +
+    # its order: the paper's stated initial values below the start of the stream's one
+    # adopted identity, the oracle's from there on
+    cs, initial = families._certify(families._tables(system))
+    assert cs == transfer.characteristic(families._BLOCKS[system])
+    assert tuple(initial) == STREAMS[system]
     first = families._first_n(system)
-    for s, e, initial in rules:
-        assert [e] == [x for x in IDENTITIES[system] if x.adopted and x.lhs == s]
-        assert initial[first:] == tuple(STATED_BASES[s][k] for k in range(first, e.start))
+    for s, values in initial.items():
+        e, = (x for x in IDENTITIES[system] if x.adopted and x.lhs == s)
+        assert len(values) == first + len(cs) >= e.start
+        assert values[first:e.start] == tuple(STATED_BASES[s][k] for k in range(first, e.start))
+        assert values[e.start:] == tuple(oracle.domination_polynomial(build_chain(s, k))
+                                         for k in range(e.start, len(values)))
 
 
 @pytest.mark.parametrize("stream, k", [(s, k) for s, bases in STATED_BASES.items()
@@ -205,9 +219,9 @@ def test_pass_takes_each_initial_value_from_its_rule(stream, k):
     def edit(initial: tuple) -> tuple:
         return tuple(edited if j == k else v for j, v in enumerate(initial))
 
-    (_, rule, initial), = families._rules(system, (stream,))
-    assert k < rule.start
-    cs = tuple(c for c, _ in rule.terms)
+    cs, initial = families._certify(families._tables(system))
+    initial = initial[stream]
+    assert k < families._first_n(system) + len(cs) == len(initial)
     packing = families._Packing(families.check_n(system, k + 2, recurrence=True))
     for bits in (0, packing.bits):
         for table, want in ((initial, stated), (edit(initial), edited)):
@@ -244,13 +258,12 @@ def test_star_for_path_is_refused_by_the_identity_it_breaks(monkeypatch, kind, o
     (lambda: families.family_counts("O", 1, 9), "O", False),
 ], ids=["family_polynomials", "family_values", "family_counts"])
 def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call, stream, packed):
-    # with both caches cleared: the certificate's residual check of the identities, then
-    # the same proof of the stream's characteristic rule, then one packed (B > 0) or count
-    # (B = 0) walk of that proven rule and of no other stream
+    # with the cache cleared: one residual check, of the adopted identities and then of every
+    # stream's characteristic rule, then one packed (B > 0) or count (B = 0) walk of that
+    # proven rule and of no other stream
     def record_proven(*args):
-        rules = real_proven(*args)
-        started.append(("proven", rules))
-        return rules
+        started.append(("proven", args))
+        return real_proven(*args)
 
     def record_walk(cs, initial, hi, bits):
         started.append(("walk", (cs, initial, bits)))
@@ -261,16 +274,36 @@ def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call,
     monkeypatch.setattr(families, "_proven", record_proven)
     monkeypatch.setattr(families, "_walk", record_walk)
     families._certify.cache_clear()
-    families._characteristic_rules.cache_clear()
     call()
-    assert [what for what, _ in started] == ["proven", "proven", "walk"]
-    (_, identities), (_, proof), (_, (walked, initial, bits)) = started
-    assert identities is families._certify(families._tables(stream[0]))
-    assert proof is families._rules(stream[0], (stream,))
-    (s, rule, proven), = proof
-    cs = transfer.characteristic(families._BLOCKS[stream[0]])
-    assert s == stream and rule.terms == tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1))
-    assert walked == cs and initial is proven and (bits > 0) is packed and bits >= 0
+    assert [what for what, _ in started] == ["proven", "walk"]
+    (_, (_, _, _, identities, rules)), (_, (walked, initial, bits)) = started
+    system = stream[0]
+    assert identities == [(s, e) for s in STREAMS[system] for e in IDENTITIES[system]
+                          if e.adopted and e.lhs == s]
+    cs, proven = families._certify(families._tables(system))
+    assert cs == transfer.characteristic(families._BLOCKS[system])
+    assert [s for s, _ in rules] == list(STREAMS[system])
+    for s, rule in rules:
+        assert rule.terms == tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1))
+    assert walked is cs and initial is proven[stream] and (bits > 0) is packed and bits >= 0
+
+
+def test_one_certificate_serves_every_reader_of_a_system(monkeypatch):
+    # a packed reader, the count reader and the stream reader of Q share one cold
+    # certificate, which takes the transfer values once
+    def record_states(*args):
+        calls.append(args)
+        return real_states(*args)
+
+    calls = []
+    real_states = transfer.states
+    monkeypatch.setattr(transfer, "states", record_states)
+    families._certify.cache_clear()
+    family_polynomial("Qp", 4)
+    families.family_counts("Q", 1, 4)
+    next(families.stream_values("Q", 0, 2, STREAMS["Q"]))
+    assert families._certify.cache_info().misses == 1
+    assert len(calls) == 1
 
 
 def _cross(u: tuple, v: tuple) -> tuple:
@@ -288,7 +321,7 @@ def test_residual_zero_at_two_points_is_refused_at_the_third(monkeypatch):
     added = _cross((q[2], q[1], q[0]), (q[3], q[2], q[1]))
     assert [p.degree for p in added] == [7, 10, 8]
     rule, = (e for e in IDENTITIES["Q"] if e.adopted and e.lhs == "Q")
-    _edit_q(monkeypatch, "Q", terms=(*rule.terms, *((a, (("Q", -i),)) for i, a in
+    _edit(monkeypatch, "Q", terms=(*rule.terms, *((a, (("Q", -i),)) for i, a in
                                                      enumerate(added, 1))))
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial("Q", 6)
@@ -317,7 +350,7 @@ def test_o_residual_zero_at_two_points_is_refused_at_the_third(monkeypatch):
 
 def test_identity_is_checked_against_its_own_stream(monkeypatch):
     # Q2_n = Qtri_n is an identity of the triangle graphs its subject names, not of Q2's
-    _edit_q(monkeypatch, "Q2", terms=((_p("1"), (("Qtri", 0),)),), subject="triangle")
+    _edit(monkeypatch, "Q2", terms=((_p("1"), (("Qtri", 0),)),), subject="triangle")
     with pytest.raises(RecurrenceConfigError) as ei:
         family_polynomial("Q2", 3)
     assert str(ei.value) == "Q pendant-pair identity (ii): nonzero residual -x^4-3x^3-4x^2 at n=1"
@@ -355,8 +388,8 @@ def test_packed_exponent_is_gamma_of_every_stream_value(system):
     want = {s: [transfer.dot(transfer.finish(families._attached(s, None)), w) for w in ws]
             for s in STREAMS[system]}
     packing = families._Packing(families.check_n(system, hi, recurrence=True))
-    walks = {s: list(families._walk(tuple(c for c, _ in rule.terms), initial, hi, packing.bits))
-             for s, rule, initial in families._rules(system, STREAMS[system])}
+    cs, initial = families._certify(families._tables(system))
+    walks = {s: list(families._walk(cs, initial[s], hi, packing.bits)) for s in STREAMS[system]}
     seen = 0
     for k in range(first, hi + 1):
         for s in STREAMS[system]:
@@ -397,9 +430,9 @@ def test_characteristic_packed_exponent_is_gamma_of_every_stream_value(system):
     first = families._first_n(system)
     packing = families._Packing(families.check_n(system, hi, recurrence=True))
     seen = 0
-    for s, rule, initial in families._rules(system, STREAMS[system]):
-        walk = families._walk(tuple(c for c, _ in rule.terms), initial, hi, packing.bits)
-        for k, (w, e) in enumerate(walk):
+    cs, initial = families._certify(families._tables(system))
+    for s in STREAMS[system]:
+        for k, (w, e) in enumerate(families._walk(cs, initial[s], hi, packing.bits)):
             if k >= first:
                 assert e == packing.unpack(w, e).gamma(), (s, k)
                 seen += 1
@@ -417,19 +450,19 @@ def characteristic(monkeypatch):
             cs[index] += _p(delta)
             return tuple(cs)
         monkeypatch.setattr(transfer, "characteristic", edited)
-        families._characteristic_rules.cache_clear()
+        families._certify.cache_clear()
 
     yield edit
-    families._characteristic_rules.cache_clear()
+    families._certify.cache_clear()
 
 
 @pytest.mark.parametrize("stream, index, delta, message", [
     ("T", 0, "x", "-x^6-5x^5-10x^4-8x^3-x^2"),
     ("T", 1, "-1", "x^3+3x^2+3x"),
     ("Q", 1, "x^5", "-x^9-4x^8-6x^7"),
-    ("Qp", 2, "x", "-x^4-3x^3-x^2"),
+    ("Qp", 2, "x", "-x^2"),
     ("O", 2, "-x^3", "x^4"),
-    ("Op", 0, "1", "-x^10-10x^9-45x^8-113x^7-165x^6-132x^5-47x^4-6x^3"),
+    ("Op", 0, "1", "-x^7-7x^6-21x^5-29x^4-15x^3"),
 ])
 def test_edited_characteristic_is_refused_before_any_packed_pass(monkeypatch, characteristic,
                                                                  stream, index, delta, message):
@@ -439,4 +472,6 @@ def test_edited_characteristic_is_refused_before_any_packed_pass(monkeypatch, ch
                  lambda: families.family_counts(stream, families._first_n(stream, True), 8)):
         with pytest.raises(RecurrenceConfigError) as ei:
             call()
-        assert str(ei.value) == f"{stream} characteristic recurrence: nonzero residual {message} at n=3"
+        # every stream's rule is proven, in evaluation order: the system's first is named
+        assert str(ei.value) == (f"{stream[0]} characteristic recurrence: nonzero residual "
+                                 f"{message} at n=3")
