@@ -471,14 +471,15 @@ def _certify(tables: tuple) -> tuple:
     return cs, MappingProxyType({s: tuple(want[s][:start]) for s in streams})
 
 
-def _proven(system: str, block: tuple, gadgets: tuple, *tables: list) -> dict:
+def _proven(system: str, block: tuple, gadgets: tuple, identities: list,
+            characteristic: list) -> dict:
     """{stream: u_s^T M^n v0 for n up to the largest start + 2}, once every (stream, rule)
-    of `tables` passes _certify's residual check; each list in turn, by n and then in
-    evaluation order."""
-    ws = transfer.states(block, max(e.start for pairs in tables for _, e in pairs) + 2)
+    of `identities` and then of `characteristic` passes _certify's residual check; each
+    list by n and then in evaluation order."""
+    ws = transfer.states(block, max(e.start for _, e in identities + characteristic) + 2)
     u = {s: transfer.finish(g) for s, g in gadgets}
     want = {s: [transfer.dot(u[s], w) for w in ws] for s in u}
-    for pairs in tables:
+    for pairs in (identities, characteristic):
         for n in range(_first_n(system), len(ws)):
             for s, e in pairs:
                 if n >= e.start:
