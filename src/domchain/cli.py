@@ -154,14 +154,14 @@ def cmd_sequence(args) -> int:
 def cmd_bench(args) -> int:
     cap = oracle.check_cap(args.cap)
     ns = _parse_range(args.n_range)
-    passed = families.family_values(args.family, ns[0], ns[-1])
+    walked = families.family_values(args.family, ns[0], ns[-1])
     mismatch = False
     with _sink(args.output) as out:
         w = csv.writer(out)
         w.writerow(["family", "n", "vertices", "subsets",
                     "oracle_seconds", "recurrence_seconds", "speedup", "status"])
         rec_s, t0 = 0.0, time.perf_counter()
-        for n, rec in passed:  # rec_s: the pass's own time to reach n, the oracle's left out
+        for n, rec in walked:  # rec_s: the walk's own time to reach n, the oracle's left out
             rec_s += time.perf_counter() - t0
             order = families.family_order(args.family, n)
             if order > cap:

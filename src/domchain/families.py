@@ -23,12 +23,10 @@ Every recurrence identity of the three systems is declared once, as data, in
 IDENTITIES; a literal-paper variant is an entry with adopted=False that carries
 its erratum.  The identities are read only by the certificate (_certify) and by
 verify.py.  The packed and count walks behind every polynomial and count view
-here run none of them: by Cayley-Hamilton each stream obeys the scalar
-recurrence of the block matrix's characteristic polynomial
-(transfer.characteristic), so each requested stream is one walk (_walk) of that
-order d <= 3 rule, a_k = c_1 a_(k-1) + ... + c_d a_(k-d), reading only the
-stream itself and keeping only its last d values.  For T it is the paper's
-identity (det M = 0).
+here run none of them: each requested stream is one walk (_walk) of the scalar
+rule every stream obeys (transfer.characteristic says why), a_k = c_1 a_(k-1) +
+... + c_d a_(k-d) with d <= 3, reading only the stream itself and keeping only
+its last d values.  For T it is the paper's identity.
 
 A walk at B > 0 runs on packed integers (Kronecker substitution, as in Harvey,
 arXiv:0712.4046, but packed once per walk rather than once per product).
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import islice
 from operator import add
 from types import MappingProxyType
@@ -128,23 +126,20 @@ def _check_first(family: str, n: int, recurrence: bool = False) -> None:
 def check_n(family: str, *ns: int, recurrence: bool = False) -> int:
     """Refuse, for each n in turn, an n below the first graph n (or `recurrence` n),
     then an oversized member or, with `recurrence`, an oversized member of any stream
-    of its system (_pass_top); return the largest vertex count checked."""
+    of its system; return the largest vertex count checked.  B and the vertex limit of
+    a walk are sized for the system's largest stream, so every reader of a system
+    refuses at the same n."""
     top = 0
     for n in ns:
         _check_first(family, n, recurrence)
-        order = family_order(family, n)  # the family's own member first, so its refusal names it
-        if order > MAX_EDGE_LIST_VERTICES:
-            raise ValueError(f"family {family} at n={n} has {order} vertices, "
-                             f"limit is {MAX_EDGE_LIST_VERTICES}")
-        top = max(top, order, _pass_top(family[0], n) if recurrence else 0)
+        # the family's own member first, so its refusal names it
+        for s in (family,) + (STREAMS[family[0]] if recurrence else ()):
+            order = family_order(s, n)
+            if order > MAX_EDGE_LIST_VERTICES:
+                raise ValueError(f"family {s} at n={n} has {order} vertices, "
+                                 f"limit is {MAX_EDGE_LIST_VERTICES}")
+            top = max(top, order)
     return top
-
-
-def _pass_top(system: str, *ns: int) -> int:
-    """check_n for every stream of the system, at each n; the largest order.  B and the
-    vertex limit are sized for the system's largest stream, so every reader of a system
-    refuses at the same n."""
-    return max(check_n(s, *ns) for s in STREAMS[system])
 
 
 # -- constructors ----------------------------------------------------------
@@ -239,11 +234,6 @@ class Identity:
         """Right-hand side at n, with value(stream, k) supplying each referenced term."""
         return reduce(add, (mult * reduce(add, (value(s, n + off) for s, off in refs))
                             for mult, refs in self.terms))
-
-    @cached_property
-    def depth(self) -> int:
-        """How many n back the right-hand side reads."""
-        return max(-off for _, refs in self.terms for _, off in refs)
 
 
 _p = DomPoly.from_text
@@ -428,7 +418,7 @@ def _certify(tables: tuple) -> tuple:
     whose left side is no stream of the system, a stream with no or several adopted
     identities, an identity with no terms or with a term that reads no stream, a read
     that evaluation in stream order has not reached (a later or foreign stream, the
-    stream itself or n ahead), or a start whose look-back reaches below the first graph
+    stream itself or n ahead), or a start whose deepest read lies below the first graph
     n.  Then, by each rule's residual lhs_n - rhs_n on the transfer values at its start,
     start + 1 and start + 2 (_proven), refuse the first adopted identity that fails and
     then the first stream whose characteristic rule fails.  Three zeros are zero at every
@@ -442,7 +432,7 @@ def _certify(tables: tuple) -> tuple:
     for e in identities:
         if e.adopted and e.lhs not in streams:
             raise RecurrenceConfigError(e.label, f"left side {e.lhs} is no stream of {system}")
-    pairs = []
+    rules = []
     for i, s in enumerate(streams):
         adopted = [e for e in identities if e.adopted and e.lhs == s]
         if len(adopted) != 1:
@@ -456,34 +446,35 @@ def _certify(tables: tuple) -> tuple:
         for t, off in (ref for _, refs in e.terms for ref in refs):
             if t not in (streams if off < 0 else streams[:i] if off == 0 else ()):
                 raise RecurrenceConfigError(
-                    e.label, f"reads {t} at offset {off}, which the pass has not evaluated")
-        if e.start < first + e.depth:
+                    e.label, f"reads {t} at offset {off}, which evaluation in stream order "
+                             f"has not reached")
+        low = e.start + min(off for _, refs in e.terms for _, off in refs)  # the deepest read
+        if low < first:
             raise RecurrenceConfigError(
-                e.label, f"starts at n={e.start}, reading n={e.start - e.depth} below the "
-                         f"first graph n={first}")
-        pairs.append((s, e))
+                e.label, f"starts at n={e.start}, reading n={low} below the first graph n={first}")
+        rules.append(e)
     cs = transfer.characteristic(block)
     start = first + len(cs)
-    want = _proven(system, block, gadgets, pairs, [
-        (s, Identity(s, tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1)), start,
-                     f"{s} characteristic recurrence")) for s in streams])
+    want = _proven(system, block, gadgets, rules, [
+        Identity(s, tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1)), start,
+                 f"{s} characteristic recurrence") for s in streams])
     # read-only: the cache hands this one mapping to every caller
     return cs, MappingProxyType({s: tuple(want[s][:start]) for s in streams})
 
 
 def _proven(system: str, block: tuple, gadgets: tuple, identities: list,
             characteristic: list) -> dict:
-    """{stream: u_s^T M^n v0 for n up to the largest start + 2}, once every (stream, rule)
-    of `identities` and then of `characteristic` passes _certify's residual check; each
-    list by n and then in evaluation order."""
-    ws = transfer.states(block, max(e.start for _, e in identities + characteristic) + 2)
+    """{stream: u_s^T M^n v0 for n up to the largest start + 2}, once every rule of
+    `identities` and then of `characteristic` passes _certify's residual check, taken on
+    the rule's left-hand stream; each list by n and then in evaluation order."""
+    ws = transfer.states(block, max(e.start for e in identities + characteristic) + 2)
     u = {s: transfer.finish(g) for s, g in gadgets}
     want = {s: [transfer.dot(u[s], w) for w in ws] for s in u}
-    for pairs in (identities, characteristic):
+    for rules in (identities, characteristic):
         for n in range(_first_n(system), len(ws)):
-            for s, e in pairs:
+            for e in rules:
                 if n >= e.start:
-                    r = want[s][n] - e.rhs(n, lambda t, j: want[t][j])
+                    r = want[e.lhs][n] - e.rhs(n, lambda t, j: want[t][j])
                     if not r.is_zero():
                         raise RecurrenceConfigError(e.label,
                                                     f"nonzero residual {r.to_text()} at n={n}")
@@ -503,7 +494,7 @@ def stream_values(family: str, lo: int, hi: int, streams: tuple[str, ...]):
             raise ValueError(f"no stream {s!r} in the {family} system; systems are {STREAMS}")
     if family not in STREAMS:
         raise ValueError(f"no system {family!r}; systems are {STREAMS}")
-    top = _pass_top(family, lo, hi)
+    top = max(check_n(s, lo, hi) for s in STREAMS[family])
     cs, initial = _certify(_tables(family))  # refused before anything is packed
     packing = _Packing(top)
     walks = {s: islice(_walk(cs, initial[s], hi, packing.bits), lo, None) for s in streams}
@@ -550,7 +541,7 @@ def t_polynomial(n: int) -> DomPoly:
 
 
 def t_coefficient_table(n: int) -> list[int]:
-    """Row of dominating-set counts d(T_n, k), k = 0..2n+1: the T identity read coefficient-wise."""
+    """Row of dominating-set counts d(T_n, k), k = 0..2n+1: the coefficients of t_polynomial."""
     return list(family_polynomial("T", n).coeffs)
 
 
@@ -561,7 +552,7 @@ def t_count_sequence(n_max: int) -> list[int]:
     return [T0_COUNT_SEED, *family_counts("T", 1, max(n_max, 1))][: n_max + 1]
 
 
-# -- Q and O chains: coupled streams ------------------------------------------------
+# -- Q and O chains: streams of the closed systems --------------------------------
 
 def q_stream(n: int) -> list[dict[str, DomPoly]]:
     """Bottom-up Q-stream values for k = 0..n, each keyed by STREAMS["Q"]."""
@@ -569,7 +560,7 @@ def q_stream(n: int) -> list[dict[str, DomPoly]]:
 
 
 def q_polynomial(n: int) -> DomPoly:
-    """D(Q_n,x) via the coupled closed system."""
+    """D(Q_n,x) by the walk of the certified Q system."""
     return family_polynomial("Q", n)
 
 
@@ -579,5 +570,5 @@ def o_stream(n: int) -> list[dict[str, DomPoly]]:
 
 
 def o_polynomial(n: int) -> DomPoly:
-    """D(O_n,x) via the coupled closed system."""
+    """D(O_n,x) by the walk of the certified O system."""
     return family_polynomial("O", n)

@@ -47,7 +47,7 @@ MUTANTS = (
     Mutant("residual skipped at n = start", FAMILIES,
            "if n >= e.start:", "if n > e.start:"),
     Mutant("look-back one n below the first graph n allowed", FAMILIES,
-           "if e.start < first + e.depth:", "if e.start < first + e.depth - 1:"),
+           "if low < first:", "if low < first - 1:"),
     Mutant("stream_values' unknown-system refusal dropped", FAMILIES,
            '    if family not in STREAMS:\n'
            '        raise ValueError(f"no system {family!r}; systems are {STREAMS}")\n', ""),
@@ -60,7 +60,11 @@ MUTANTS = (
     Mutant("_held takes e = gamma - 1", FAMILIES,
            "    e = p.gamma() or 0\n", "    e = max((p.gamma() or 0) - 1, 0)\n"),
     Mutant("_proven skips the characteristic rules", FAMILIES,
-           "for pairs in (identities, characteristic):", "for pairs in (identities,):"),
+           "for rules in (identities, characteristic):", "for rules in (identities,):"),
+    Mutant("an identity may read any stream ahead in n", FAMILIES,
+           "if off == 0 else ()", "if off == 0 else streams"),
+    Mutant("check_n's recurrence limit checks only the family itself", FAMILIES,
+           "(family,) + (STREAMS[family[0]] if recurrence else ())", "(family,)"),
 )
 
 

@@ -161,10 +161,18 @@ def _wrong_q2_first(monkeypatch) -> None:
     ("Q", lambda mp: _edit(mp, "Qtri", terms=()), "Q triangle-gadget identity (i): no terms"),
     ("Q", lambda mp: _edit(mp, "Q+e", start=1),
      "Q pendant identity (iv): starts at n=1, reading n=-1 below the first graph n=0"),
+    # Q+e reads n - 1 and n - 2: the refusal names the deepest read, not the first
+    ("Q", lambda mp: _edit(mp, "Q+e", start=0),
+     "Q pendant identity (iv): starts at n=0, reading n=-2 below the first graph n=0"),
     # Qtri_n = (2+2x) Q+e_n - Qp_n holds on the graphs, but Qp_n comes after Qtri_n
     ("Q", lambda mp: _edit(mp, "Qtri",
                            terms=((_p("2+2x"), (("Q+e", 0),)), (_p("-1"), (("Qp", 0),)))),
-     "Q triangle-gadget identity (i): reads Qp at offset 0, which the pass has not evaluated"),
+     "Q triangle-gadget identity (i): reads Qp at offset 0, "
+     "which evaluation in stream order has not reached"),
+    # a read ahead in n, even of a stream evaluated earlier at n
+    ("Q", lambda mp: _edit(mp, "Qtri", terms=((_p("1"), (("Q+e", 1),)),)),
+     "Q triangle-gadget identity (i): reads Q+e at offset 1, "
+     "which evaluation in stream order has not reached"),
     ("Q", lambda mp: _edit(mp, "Qtri", terms=(*IDENTITIES["Q"][0].terms, (_p("x"), ()))),
      "Q triangle-gadget identity (i): a term reads no stream"),
     ("Q", lambda mp: _edit(mp, "Qtri", terms=((_p("x"), ()),)),
@@ -174,13 +182,16 @@ def _wrong_q2_first(monkeypatch) -> None:
      "Q triangle-gadget identity (i): left side Zed is no stream of Q"),
     # X_n = 1 X_n has a zero residual at every n, so only the evaluation order refuses it
     ("Q", lambda mp: _edit(mp, "Q", terms=((_p("1"), (("Q", 0),)),), start=1),
-     "Q-chain order-3 theorem recurrence: reads Q at offset 0, which the pass has not evaluated"),
+     "Q-chain order-3 theorem recurrence: reads Q at offset 0, "
+     "which evaluation in stream order has not reached"),
     ("O", lambda mp: _edit(mp, "O", terms=((_p("1"), (("O", 0),)),)),
-     "O-chain theorem recurrence: reads O at offset 0, which the pass has not evaluated"),
-], ids=["no adopted identity", "two adopted identities", "no terms", "start before the look-back reaches a graph",
-        "read of a stream not yet evaluated",
-        "extra term reads no stream", "only term reads no stream", "left side no stream",
-        "Q reads itself at n", "O reads itself at n"])
+     "O-chain theorem recurrence: reads O at offset 0, "
+     "which evaluation in stream order has not reached"),
+], ids=["no adopted identity", "two adopted identities", "no terms",
+        "start before the look-back reaches a graph",
+        "start before the deepest read reaches a graph", "read of a stream not yet evaluated",
+        "read ahead in n", "extra term reads no stream", "only term reads no stream",
+        "left side no stream", "Q reads itself at n", "O reads itself at n"])
 def test_malformed_table_is_refused_before_any_pass(monkeypatch, family, edit, message):
     edit(monkeypatch)
     monkeypatch.setattr(families, "_proven", None)  # refused before any residual is taken
@@ -278,13 +289,13 @@ def test_reader_starts_one_packed_pass_on_the_certified_table(monkeypatch, call,
     assert [what for what, _ in started] == ["proven", "walk"]
     (_, (_, _, _, identities, rules)), (_, (walked, initial, bits)) = started
     system = stream[0]
-    assert identities == [(s, e) for s in STREAMS[system] for e in IDENTITIES[system]
+    assert identities == [e for s in STREAMS[system] for e in IDENTITIES[system]
                           if e.adopted and e.lhs == s]
     cs, proven = families._certify(families._tables(system))
     assert cs == transfer.characteristic(families._BLOCKS[system])
-    assert [s for s, _ in rules] == list(STREAMS[system])
-    for s, rule in rules:
-        assert rule.terms == tuple((c, ((s, -i),)) for i, c in enumerate(cs, 1))
+    assert [rule.lhs for rule in rules] == list(STREAMS[system])
+    for rule in rules:
+        assert rule.terms == tuple((c, ((rule.lhs, -i),)) for i, c in enumerate(cs, 1))
     assert walked is cs and initial is proven[stream] and (bits > 0) is packed and bits >= 0
 
 

@@ -137,8 +137,8 @@ def test_transfer_values_equal_reference_dp(reference, stream):
 
 
 def _digit_bits(system: str, hi: int) -> int:
-    """B of the packed pass to hi."""
-    return families._Packing(families._pass_top(system, hi)).bits
+    """B of the packed walks to hi."""
+    return families._Packing(max(families.check_n(s, hi) for s in families.STREAMS[system])).bits
 
 
 @pytest.mark.parametrize("system", CHAIN_FAMILIES)
